@@ -192,7 +192,7 @@ func (n *Node) handleSymbol(from NodeID, m *Symbol) {
 			return
 		}
 		age := m.Age
-		if nb := n.neighbors[from]; nb != nil {
+		if nb := n.findNeighbor(from); nb != nil {
 			age += n.linkLatency(nb)
 		}
 		st = n.getMsgState()

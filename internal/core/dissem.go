@@ -87,7 +87,7 @@ const invalidSlot = 0xFF
 // is not a current neighbor (OR-ing 0 into a mask is a no-op, matching
 // the old slices' irrelevant bookkeeping for non-neighbors).
 func (n *Node) slotBit(peer NodeID) uint64 {
-	nb := n.neighbors[peer]
+	nb := n.findNeighbor(peer)
 	if nb == nil || nb.slot == invalidSlot {
 		return 0
 	}
@@ -323,7 +323,7 @@ func (n *Node) receiveMulticast(from NodeID, m *Multicast, viaSync bool) {
 	// The age estimate accumulates hop by hop: the sender stamps its own
 	// estimate and the receiver adds the link's propagation delay.
 	age := m.Age
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.findNeighbor(from); nb != nil {
 		age += n.linkLatency(nb)
 	}
 	st := n.getMsgState()
@@ -390,18 +390,15 @@ func (n *Node) gossipTick() {
 
 // gossipRound sends the periodic summary to the next neighbor round-robin.
 func (n *Node) gossipRound() {
-	if len(n.neighborOrder) == 0 {
+	if len(n.neighbors) == 0 {
 		return
 	}
-	if n.gossipIdx >= len(n.neighborOrder) {
+	if n.gossipIdx >= len(n.neighbors) {
 		n.gossipIdx = 0
 	}
-	y := n.neighborOrder[n.gossipIdx]
-	n.gossipIdx = (n.gossipIdx + 1) % len(n.neighborOrder)
-	nb := n.neighbors[y]
-	if nb == nil {
-		return
-	}
+	nb := n.neighbors[n.gossipIdx]
+	y := nb.entry.ID
+	n.gossipIdx = (n.gossipIdx + 1) % len(n.neighbors)
 	g := n.newGossip()
 	var bit uint64
 	if nb.slot != invalidSlot {
@@ -514,7 +511,7 @@ func (n *Node) reannounceTo(peer NodeID) {
 // handleGossip ingests a summary from neighbor `from`.
 func (n *Node) handleGossip(from NodeID, g *Gossip) {
 	n.stats.GossipsRecv++
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.findNeighbor(from); nb != nil {
 		nb.deg = g.Degrees
 		nb.degKnown = true
 	}
@@ -534,7 +531,7 @@ func (n *Node) handleGossip(from NodeID, g *Gossip) {
 		n.learnEntry(e)
 	}
 	var linkLat time.Duration
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.findNeighbor(from); nb != nil {
 		linkLat = n.linkLatency(nb)
 	}
 	for i := range g.Syms {

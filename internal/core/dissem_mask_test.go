@@ -29,7 +29,7 @@ func TestBitmaskMatchesSliceModel(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(99))
 	peers := []NodeID{2, 3, 4, 5, 6, 7, 8, 9}
-	isNeighbor := func(p NodeID) bool { return a.neighbors[p] != nil }
+	isNeighbor := func(p NodeID) bool { return a.isNeighbor(p) }
 
 	// One tracked message, kept un-retired by hand so decisions stay live.
 	id := a.Multicast([]byte("m"))
@@ -38,7 +38,8 @@ func TestBitmaskMatchesSliceModel(t *testing.T) {
 
 	checkDecisions := func(step int) {
 		t.Helper()
-		for _, y := range a.neighborOrder {
+		for _, nb := range a.neighbors {
+			y := nb.entry.ID
 			bit := a.slotBit(y)
 			gotSkip := (st.heardMask|st.announcedMask)&bit != 0
 			wantSkip := containsID(model.heardFrom, y) || containsID(model.announcedTo, y)
@@ -48,7 +49,8 @@ func TestBitmaskMatchesSliceModel(t *testing.T) {
 		}
 		gotCovered := (st.heardMask|st.announcedMask)&a.liveMask == a.liveMask
 		wantCovered := true
-		for _, y := range a.neighborOrder {
+		for _, nb := range a.neighbors {
+			y := nb.entry.ID
 			if !containsID(model.heardFrom, y) && !containsID(model.announcedTo, y) {
 				wantCovered = false
 				break
@@ -120,7 +122,7 @@ func TestSlotExhaustionScrub(t *testing.T) {
 	}
 	// The 65th holder forces a scrub: retired bits must leave the message.
 	a.AddNeighborDirect(Entry{ID: 200}, Random, time.Millisecond)
-	nb := a.neighbors[200]
+	nb := a.findNeighbor(200)
 	if nb == nil || nb.slot == invalidSlot {
 		t.Fatalf("new neighbor got no slot after scrub")
 	}

@@ -38,12 +38,13 @@ func (n *Node) learnEntry(e Entry) {
 		n.stats.StaleIncRejects++
 		return
 	}
-	if nb := n.neighbors[e.ID]; nb != nil && e.Inc < nb.entry.Inc {
+	nb := n.findNeighbor(e.ID)
+	if nb != nil && e.Inc < nb.entry.Inc {
 		n.stats.StaleIncRejects++
 		return
 	}
 	n.env.Learn(e)
-	n.noteRejoin(e)
+	n.noteRejoin(e, old, known, nb)
 	if known {
 		if e.Inc > old.Inc || len(e.Landmarks) > 0 || len(old.Landmarks) == 0 {
 			// Steady-state gossip re-delivers the same entry constantly
@@ -60,7 +61,7 @@ func (n *Node) learnEntry(e Entry) {
 	}
 	if n.members.len() >= n.cfg.MemberViewSize {
 		// Evict a random entry that is not a current neighbor.
-		victim := n.randomMember(func(id NodeID) bool { return n.neighbors[id] == nil })
+		victim := n.randomMember(func(id NodeID) bool { return !n.isNeighbor(id) })
 		if victim == None {
 			return
 		}
@@ -89,17 +90,16 @@ func (n *Node) obitBlocks(e Entry) bool {
 
 // noteRejoin reacts to evidence that a known peer restarted under a higher
 // incarnation: any link still held under the dead incarnation is torn down
-// and cached measurements of the old life are discarded.
-func (n *Node) noteRejoin(e Entry) {
-	nb := n.neighbors[e.ID]
-	old, known := n.members.get(e.ID)
+// and cached measurements of the old life are discarded. old/known and nb
+// are e.ID's current view entry and link, as learnEntry looked them up.
+func (n *Node) noteRejoin(e, old Entry, known bool, nb *neighbor) {
 	rejoined := (known && e.Inc > old.Inc) || (nb != nil && e.Inc > nb.entry.Inc)
 	if !rejoined {
 		return
 	}
 	n.stats.RejoinsObserved++
 	delete(n.rtt, e.ID)
-	delete(n.lastPong, e.ID)
+	n.forgetPongs(e.ID)
 	if nb != nil && e.Inc > nb.entry.Inc {
 		n.stats.StaleLinksDropped++
 		n.removeNeighbor(e.ID, false)
@@ -137,7 +137,7 @@ func (n *Node) recordObit(id NodeID, inc uint32, spread bool) {
 	n.obits[id] = obitRecord{Inc: inc, Until: n.env.Now() + n.cfg.QuarantineWindow, Spread: spread}
 	n.stats.ObitsRecorded++
 	n.forgetMember(id)
-	if nb := n.neighbors[id]; nb != nil && nb.entry.Inc <= inc {
+	if nb := n.findNeighbor(id); nb != nil && nb.entry.Inc <= inc {
 		n.removeNeighbor(id, false)
 	}
 	n.abortOpsWith(id)
@@ -146,7 +146,7 @@ func (n *Node) recordObit(id NodeID, inc uint32, spread bool) {
 // knownInc returns the highest incarnation this node has recorded for id.
 func (n *Node) knownInc(id NodeID) uint32 {
 	var inc uint32
-	if nb := n.neighbors[id]; nb != nil {
+	if nb := n.findNeighbor(id); nb != nil {
 		inc = nb.entry.Inc
 	}
 	if e, ok := n.members.get(id); ok && e.Inc > inc {
@@ -236,7 +236,7 @@ func (n *Node) forgetMember(id NodeID) {
 	if i < 0 {
 		return
 	}
-	delete(n.lastPong, id)
+	n.forgetPongs(id)
 	// The swap-remove moved the former tail into slot i; keep the
 	// round-robin cursor in range (exact fairness across a removal is not
 	// required, staying deterministic is).

@@ -51,18 +51,18 @@ type Node struct {
 	rtt       map[NodeID]time.Duration
 	landmarks []Entry
 	landVec   []uint16 // my RTT to each landmark, ms; 0 = unmeasured
-	pings     map[uint32]*pingCtx
+	// pings holds the outstanding pings in send order, which is both
+	// nonce order and sentAt order, so expiry pops a prefix.
+	pings     []pingCtx
 	pingNonce uint32
-	// lastPong remembers when each member last answered a ping, so a stale
-	// ping lost to a transient fault does not evict a member that has since
-	// proven alive (see expirePings).
-	lastPong map[NodeID]time.Duration
 
-	// Overlay neighbors and in-flight maintenance operations.
-	neighbors     map[NodeID]*neighbor
-	neighborOrder []NodeID
-	pendingAdd    map[NodeID]*addCtx
-	rebalance     *rebalanceCtx
+	// Overlay neighbors in link creation order (the gossip and sync
+	// round-robin order) and in-flight maintenance operations. Degree is
+	// bounded by C+slack, so a linear scan finds a neighbor faster than a
+	// hash probe would.
+	neighbors  []*neighbor
+	pendingAdd map[NodeID]*addCtx
+	rebalance  *rebalanceCtx
 
 	// Neighbor-slot allocation for the per-message bitmasks (see
 	// dissem.go). slotUsed marks slots taken by live or retired holders;
@@ -209,12 +209,8 @@ func New(id NodeID, cfg Config, env Env) *Node {
 		cfg:          cfg,
 		env:          env,
 		maintenance:  true,
-		members:      newMemberTable(),
 		obits:        make(map[NodeID]obitRecord),
 		rtt:          make(map[NodeID]time.Duration),
-		pings:        make(map[uint32]*pingCtx),
-		lastPong:     make(map[NodeID]time.Duration),
-		neighbors:    make(map[NodeID]*neighbor),
 		pendingAdd:   make(map[NodeID]*addCtx),
 		retiredSlots: make(map[NodeID]uint8),
 		store:        st,
@@ -308,10 +304,8 @@ func (n *Node) Stop() {
 // Drop so they quarantine this incarnation (and spread the obituary via
 // gossip piggyback), then stops.
 func (n *Node) Leave() {
-	for _, id := range n.neighborOrder {
-		if n.neighbors[id] != nil {
-			n.env.Send(id, &Drop{Degrees: n.degrees(), Departing: true})
-		}
+	for _, nb := range n.neighbors {
+		n.env.Send(nb.entry.ID, &Drop{Degrees: n.degrees(), Departing: true})
 	}
 	n.Stop()
 }
@@ -347,7 +341,7 @@ func (n *Node) HandleMessage(from NodeID, m Message) {
 	if !n.running {
 		return
 	}
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.findNeighbor(from); nb != nil {
 		nb.lastHeard = n.env.Now()
 	}
 	switch msg := m.(type) {
@@ -408,7 +402,7 @@ func (n *Node) PeerDown(peer NodeID) {
 	// Quarantine locally (not spread: a broken channel may be a partition,
 	// not a death, and a false obituary epidemic would make it worse).
 	n.recordObit(peer, n.knownInc(peer), false)
-	if n.neighbors[peer] != nil {
+	if n.isNeighbor(peer) {
 		n.removeNeighbor(peer, false)
 	}
 	n.abortOpsWith(peer)

@@ -83,9 +83,9 @@ func (n *Node) expireOps() {
 func (n *Node) checkNeighborLiveness() {
 	now := n.env.Now()
 	var dead []NodeID
-	for _, id := range n.neighborOrder {
-		if nb := n.neighbors[id]; nb != nil && now-nb.lastHeard > n.cfg.NeighborTimeout {
-			dead = append(dead, id)
+	for _, nb := range n.neighbors {
+		if now-nb.lastHeard > n.cfg.NeighborTimeout {
+			dead = append(dead, nb.entry.ID)
 		}
 	}
 	for _, id := range dead {
@@ -118,10 +118,9 @@ func (n *Node) maintainRandom() {
 		// Operation 2: drop the link to a random neighbor that itself has
 		// more than C_rand random neighbors, reducing both degrees while
 		// keeping both >= C_rand.
-		for _, id := range n.neighborOrder {
-			nb := n.neighbors[id]
-			if nb != nil && nb.kind == Random && nb.degKnown && int(nb.deg.Rand) > n.cfg.CRand {
-				n.dropLink(id)
+		for _, nb := range n.neighbors {
+			if nb.kind == Random && nb.degKnown && int(nb.deg.Rand) > n.cfg.CRand {
+				n.dropLink(nb.entry.ID)
 				return
 			}
 		}
@@ -131,7 +130,7 @@ func (n *Node) maintainRandom() {
 // tryFillRandom starts adding one random neighbor.
 func (n *Node) tryFillRandom() {
 	id := n.randomMember(func(id NodeID) bool {
-		_, isNb := n.neighbors[id]
+		isNb := n.isNeighbor(id)
 		_, isPending := n.pendingAdd[id]
 		return !isNb && !isPending
 	})
@@ -146,7 +145,7 @@ func (n *Node) resumeAddRandom(e Entry, rtt time.Duration, deg Degrees) {
 	if n.degreeOf(Random) >= n.cfg.CRand {
 		return // already fixed meanwhile
 	}
-	if _, ok := n.neighbors[e.ID]; ok {
+	if n.isNeighbor(e.ID) {
 		return
 	}
 	if int(deg.Rand) >= n.cfg.CRand+n.cfg.DegreeSlack {
@@ -163,8 +162,8 @@ func (n *Node) tryRebalanceRandom() {
 		return
 	}
 	var rands []*neighbor
-	for _, id := range n.neighborOrder {
-		if nb := n.neighbors[id]; nb != nil && nb.kind == Random {
+	for _, nb := range n.neighbors {
+		if nb.kind == Random {
 			rands = append(rands, nb)
 		}
 	}
@@ -189,7 +188,7 @@ func (n *Node) handleRebalance(from NodeID, m *Rebalance) {
 		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: false})
 		return
 	}
-	if _, ok := n.neighbors[t.ID]; ok {
+	if n.isNeighbor(t.ID) {
 		// Already linked to Z; X can still drop its two links without
 		// degree loss for us.
 		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: true})
@@ -217,10 +216,10 @@ func (n *Node) handleRebalanceReply(from NodeID, m *RebalanceReply) {
 	if n.degreeOf(Random) < n.cfg.CRand+2 {
 		return // degree already fell; keep the links
 	}
-	if _, ok := n.neighbors[rb.via]; ok {
+	if n.isNeighbor(rb.via) {
 		n.dropLink(rb.via)
 	}
-	if _, ok := n.neighbors[rb.target]; ok {
+	if n.isNeighbor(rb.target) {
 		n.dropLink(rb.target)
 	}
 	n.stats.Rebalances++
@@ -261,9 +260,9 @@ func (n *Node) dropExcessNearby(dnear int) {
 func (n *Node) pickReplaceVictim(exclude NodeID) NodeID {
 	victim := None
 	var worst time.Duration = -1
-	for _, id := range n.neighborOrder {
-		nb := n.neighbors[id]
-		if nb == nil || nb.kind != Nearby || id == exclude {
+	for _, nb := range n.neighbors {
+		id := nb.entry.ID
+		if nb.kind != Nearby || id == exclude {
 			continue
 		}
 		if nb.degKnown && int(nb.deg.Near) < n.cfg.CNear-n.cfg.C1Lower {
@@ -281,7 +280,7 @@ func (n *Node) pickReplaceVictim(exclude NodeID) NodeID {
 // target.
 func (n *Node) tryAddNearby() {
 	cand, ok := n.nextCandidate(func(id NodeID) bool {
-		_, isNb := n.neighbors[id]
+		isNb := n.isNeighbor(id)
 		_, isPending := n.pendingAdd[id]
 		return isNb || isPending
 	})
@@ -302,7 +301,7 @@ func (n *Node) resumeAddNearby(e Entry, rtt time.Duration, deg Degrees) {
 	if n.degreeOf(Nearby) >= n.cfg.CNear {
 		return
 	}
-	if _, ok := n.neighbors[e.ID]; ok {
+	if n.isNeighbor(e.ID) {
 		return
 	}
 	if int(deg.Near) >= n.cfg.CNear+n.cfg.DegreeSlack {
@@ -318,7 +317,7 @@ func (n *Node) tryReplaceNearby() {
 		return
 	}
 	cand, ok := n.nextCandidate(func(id NodeID) bool {
-		_, isNb := n.neighbors[id]
+		isNb := n.isNeighbor(id)
 		_, isPending := n.pendingAdd[id]
 		return isNb || isPending
 	})
@@ -329,8 +328,8 @@ func (n *Node) tryReplaceNearby() {
 }
 
 func (n *Node) hasOutstandingProbe(p pingPurpose) bool {
-	for _, ctx := range n.pings {
-		if ctx.purpose == p {
+	for i := range n.pings {
+		if n.pings[i].purpose == p {
 			return true
 		}
 	}
@@ -341,7 +340,7 @@ func (n *Node) hasOutstandingProbe(p pingPurpose) bool {
 // and, if they hold, requests the link to Q; the current worst neighbor U
 // is dropped when the add is accepted.
 func (n *Node) resumeReplace(q Entry, rtt time.Duration, deg Degrees) {
-	if _, ok := n.neighbors[q.ID]; ok {
+	if n.isNeighbor(q.ID) {
 		return
 	}
 	// C1: there must be a droppable neighbor U (picked again at accept
@@ -359,7 +358,7 @@ func (n *Node) resumeReplace(q Entry, rtt time.Duration, deg Degrees) {
 		return
 	}
 	// C4: Q must be significantly better than U.
-	if float64(rtt) > n.cfg.ReplaceRatio*float64(n.neighbors[u].rtt) {
+	if float64(rtt) > n.cfg.ReplaceRatio*float64(n.findNeighbor(u).rtt) {
 		return
 	}
 	n.requestAdd(q, Nearby, rtt, addNearbyReplace, None)
@@ -406,7 +405,7 @@ func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 	}
 	n.learnEntry(m.From)
 	accepted := false
-	if _, already := n.neighbors[from]; already {
+	if n.isNeighbor(from) {
 		accepted = true // idempotent: link exists
 	} else {
 		switch m.LinkKind {
@@ -425,7 +424,7 @@ func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 		}
 		if accepted {
 			n.addNeighbor(m.From, m.LinkKind, m.RTT)
-			if nb := n.neighbors[from]; nb != nil {
+			if nb := n.findNeighbor(from); nb != nil {
 				nb.deg = m.Degrees
 				nb.degKnown = true
 			}
@@ -465,10 +464,10 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 		}
 		return
 	}
-	if _, already := n.neighbors[from]; !already {
+	if !n.isNeighbor(from) {
 		n.addNeighbor(m.From, ctx.kind, ctx.rtt)
 	}
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.findNeighbor(from); nb != nil {
 		nb.deg = m.Degrees
 		nb.degKnown = true
 		if nb.rtt == 0 {
@@ -489,7 +488,7 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 
 // dropLink removes the link to peer and notifies it.
 func (n *Node) dropLink(peer NodeID) {
-	if _, ok := n.neighbors[peer]; !ok {
+	if !n.isNeighbor(peer) {
 		return
 	}
 	n.removeNeighbor(peer, true)
@@ -502,18 +501,40 @@ func (n *Node) handleDrop(from NodeID, m *Drop) {
 	if m.Departing {
 		n.recordObit(from, n.knownInc(from), true)
 	}
-	if _, ok := n.neighbors[from]; !ok {
+	if !n.isNeighbor(from) {
 		return
 	}
 	n.removeNeighbor(from, false)
 }
+
+// neighborIndex returns peer's position in the neighbor list, or -1.
+func (n *Node) neighborIndex(peer NodeID) int {
+	for i, nb := range n.neighbors {
+		if nb.entry.ID == peer {
+			return i
+		}
+	}
+	return -1
+}
+
+// findNeighbor returns the link record for peer, nil if peer is not a
+// current neighbor.
+func (n *Node) findNeighbor(peer NodeID) *neighbor {
+	if i := n.neighborIndex(peer); i >= 0 {
+		return n.neighbors[i]
+	}
+	return nil
+}
+
+// isNeighbor reports whether peer is a current overlay neighbor.
+func (n *Node) isNeighbor(peer NodeID) bool { return n.neighborIndex(peer) >= 0 }
 
 // addNeighbor installs an overlay link.
 func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 	if e.ID == n.id || e.ID == None {
 		return
 	}
-	if _, ok := n.neighbors[e.ID]; ok {
+	if n.isNeighbor(e.ID) {
 		return
 	}
 	n.learnEntry(e)
@@ -523,12 +544,11 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 		}
 	}
 	nb := &neighbor{entry: e, kind: kind, rtt: rtt, lastHeard: n.env.Now(), slot: n.allocSlot(e.ID)}
-	n.neighbors[e.ID] = nb
+	n.neighbors = append(n.neighbors, nb)
 	n.degCacheOK = false
 	if nb.slot != invalidSlot {
 		n.liveMask |= 1 << nb.slot
 	}
-	n.neighborOrder = append(n.neighborOrder, e.ID)
 	n.stats.LinkAdds++
 	if n.obs != nil {
 		n.obs.Event(EvLinkUp, e.ID, int64(kind), int64(rtt))
@@ -543,25 +563,22 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 // removeNeighbor uninstalls an overlay link; if notify is set the peer is
 // told to drop its end.
 func (n *Node) removeNeighbor(peer NodeID, notify bool) {
-	nb, ok := n.neighbors[peer]
-	if !ok {
+	i := n.neighborIndex(peer)
+	if i < 0 {
 		return
 	}
-	delete(n.neighbors, peer)
+	nb := n.neighbors[i]
+	copy(n.neighbors[i:], n.neighbors[i+1:])
+	n.neighbors[len(n.neighbors)-1] = nil
+	n.neighbors = n.neighbors[:len(n.neighbors)-1]
+	if n.gossipIdx > i {
+		n.gossipIdx--
+	}
 	n.degCacheOK = false
 	if nb.slot != invalidSlot {
 		n.liveMask &^= 1 << nb.slot
 	}
 	n.retireSlot(peer, nb.slot)
-	for i, v := range n.neighborOrder {
-		if v == peer {
-			n.neighborOrder = append(n.neighborOrder[:i], n.neighborOrder[i+1:]...)
-			if n.gossipIdx > i {
-				n.gossipIdx--
-			}
-			break
-		}
-	}
 	n.stats.LinkDrops++
 	if n.obs != nil {
 		n.obs.Event(EvLinkDown, peer, int64(nb.kind), int64(nb.rtt))
@@ -588,10 +605,8 @@ type NeighborInfo struct {
 // order (link creation order).
 func (n *Node) Neighbors() []NeighborInfo {
 	out := make([]NeighborInfo, 0, len(n.neighbors))
-	for _, id := range n.neighborOrder {
-		if nb := n.neighbors[id]; nb != nil {
-			out = append(out, NeighborInfo{ID: id, Kind: nb.kind, RTT: nb.rtt, Inc: nb.entry.Inc})
-		}
+	for _, nb := range n.neighbors {
+		out = append(out, NeighborInfo{ID: nb.entry.ID, Kind: nb.kind, RTT: nb.rtt, Inc: nb.entry.Inc})
 	}
 	return out
 }

@@ -230,10 +230,10 @@ func TestPickReplaceVictimHonorsC1(t *testing.T) {
 	n.AddNeighborDirect(Entry{ID: 10}, Nearby, 300*time.Millisecond)
 	n.AddNeighborDirect(Entry{ID: 11}, Nearby, 100*time.Millisecond)
 	// Node 10 is the worst link but its degree is dangerously low.
-	n.neighbors[10].deg = Degrees{Near: int16(cfg.CNear - 2)}
-	n.neighbors[10].degKnown = true
-	n.neighbors[11].deg = Degrees{Near: int16(cfg.CNear)}
-	n.neighbors[11].degKnown = true
+	n.findNeighbor(10).deg = Degrees{Near: int16(cfg.CNear - 2)}
+	n.findNeighbor(10).degKnown = true
+	n.findNeighbor(11).deg = Degrees{Near: int16(cfg.CNear)}
+	n.findNeighbor(11).degKnown = true
 	if got := n.pickReplaceVictim(None); got != 11 {
 		t.Fatalf("victim = %d, want 11 (C1 must protect low-degree neighbors)", got)
 	}
@@ -249,8 +249,8 @@ func TestResumeReplaceEnforcesC4(t *testing.T) {
 	n := f.addNode(1, cfg)
 	n.Start()
 	n.AddNeighborDirect(Entry{ID: 10}, Nearby, 100*time.Millisecond)
-	n.neighbors[10].deg = Degrees{Near: int16(cfg.CNear)}
-	n.neighbors[10].degKnown = true
+	n.findNeighbor(10).deg = Degrees{Near: int16(cfg.CNear)}
+	n.findNeighbor(10).degKnown = true
 	before := n.Stats().AddsSent
 	// Candidate with RTT 60ms: 2*60 > 100 -> C4 fails, no request.
 	n.resumeReplace(Entry{ID: 20}, 60*time.Millisecond, Degrees{Near: 0})
@@ -270,8 +270,8 @@ func TestResumeReplaceEnforcesC3(t *testing.T) {
 	n := f.addNode(1, cfg)
 	n.Start()
 	n.AddNeighborDirect(Entry{ID: 10}, Nearby, 400*time.Millisecond)
-	n.neighbors[10].deg = Degrees{Near: int16(cfg.CNear)}
-	n.neighbors[10].degKnown = true
+	n.findNeighbor(10).deg = Degrees{Near: int16(cfg.CNear)}
+	n.findNeighbor(10).degKnown = true
 	before := n.Stats().AddsSent
 	// Q at target degree whose worst link (50ms) beats our offer (80ms).
 	n.resumeReplace(Entry{ID: 20}, 80*time.Millisecond,

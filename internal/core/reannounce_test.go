@@ -97,9 +97,20 @@ func TestStalePingExpiryKeepsAnsweredMember(t *testing.T) {
 	a.env.After(pingTimeout+time.Second, func() {})
 	f.run(pingTimeout + time.Second)
 
+	// stalePing queues a ping to node 2 that was sent at time 0 and lost.
+	stalePing := func() {
+		a.pingNonce++
+		a.pings = append(a.pings, pingCtx{nonce: a.pingNonce, target: 2, purpose: pingProbeReplace, sentAt: 0})
+	}
+	// answer has node 2 answer a fresh ping now.
+	answer := func() {
+		a.sendPing(2, pingCtx{target: 2, purpose: pingMeasureLink})
+		a.handlePong(2, &Pong{From: Entry{ID: 2}, Nonce: a.pingNonce})
+	}
+
 	// A stale ping context that predates a successful pong must not evict.
-	a.lastPong[2] = a.env.Now()
-	a.pings[1] = &pingCtx{target: 2, purpose: pingProbeReplace, sentAt: 0}
+	stalePing()
+	answer()
 	a.expirePings()
 	if !a.members.has(2) {
 		t.Fatalf("member evicted despite a pong newer than the stale ping")
@@ -109,10 +120,22 @@ func TestStalePingExpiryKeepsAnsweredMember(t *testing.T) {
 	}
 
 	// Control: with no fresh pong the same stale context does evict.
-	delete(a.lastPong, 2)
-	a.pings[2] = &pingCtx{target: 2, purpose: pingProbeReplace, sentAt: 0}
+	stalePing()
 	a.expirePings()
 	if a.members.has(2) {
 		t.Fatalf("member not evicted for an unanswered stale ping")
+	}
+
+	// Forgetting the member withdraws its pong: the stale ping evicts the
+	// re-learned entry, as if the pong had never arrived.
+	a.obits = make(map[NodeID]obitRecord)
+	a.learnEntry(Entry{ID: 2})
+	stalePing()
+	answer()
+	a.forgetMember(2)
+	a.learnEntry(Entry{ID: 2})
+	a.expirePings()
+	if a.members.has(2) {
+		t.Fatalf("pong survived the member's removal from the view")
 	}
 }

@@ -24,10 +24,16 @@ const (
 )
 
 type pingCtx struct {
+	nonce    uint32
 	target   NodeID
 	purpose  pingPurpose
 	sentAt   time.Duration
 	landmark int // index into landmarks for pingLandmark
+	// answered marks a ping whose target has since answered a later ping:
+	// a ping swallowed by a transient fault then proves nothing, so its
+	// expiry must not evict the target (see expirePings). A rejoin or the
+	// target's removal from the view clears the mark (forgetPongs).
+	answered bool
 }
 
 // SetLandmarks installs the landmark set used for latency estimation.
@@ -114,8 +120,9 @@ func (n *Node) estimateRTT(e Entry) time.Duration {
 // sendPing issues a datagram ping and registers its context.
 func (n *Node) sendPing(to NodeID, ctx pingCtx) {
 	n.pingNonce++
+	ctx.nonce = n.pingNonce
 	ctx.sentAt = n.env.Now()
-	n.pings[n.pingNonce] = &ctx
+	n.pings = append(n.pings, ctx)
 	n.stats.PingsSent++
 	n.env.SendDatagram(to, &Ping{From: n.selfEntry(), Nonce: n.pingNonce})
 }
@@ -136,19 +143,26 @@ func (n *Node) handlePong(from NodeID, m *Pong) {
 	if n.staleSender(m.From) {
 		return
 	}
-	ctx, ok := n.pings[m.Nonce]
-	if !ok || ctx.target != from {
+	i := n.pingIndex(m.Nonce)
+	if i < 0 || n.pings[i].target != from {
 		return
 	}
-	delete(n.pings, m.Nonce)
-	rtt := n.env.Now() - ctx.sentAt
+	ctx := n.pings[i]
+	n.pings = append(n.pings[:i], n.pings[i+1:]...)
+	now := n.env.Now()
+	rtt := now - ctx.sentAt
 	if rtt <= 0 {
 		rtt = time.Millisecond
 	}
 	n.rtt[from] = rtt
-	n.lastPong[from] = n.env.Now()
+	// from has now answered after every earlier ping to it was sent.
+	for j := range n.pings {
+		if p := &n.pings[j]; p.target == from && p.sentAt < now {
+			p.answered = true
+		}
+	}
 	n.learnEntry(m.From)
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.findNeighbor(from); nb != nil {
 		nb.deg = m.Degrees
 		nb.degKnown = true
 		if ctx.purpose == pingMeasureLink || nb.rtt == 0 {
@@ -180,35 +194,52 @@ func (n *Node) handlePong(from NodeID, m *Pong) {
 	}
 }
 
+// pingIndex returns the position of the outstanding ping with the given
+// nonce, or -1. Outstanding nonces ascend through the queue.
+func (n *Node) pingIndex(nonce uint32) int {
+	for i := range n.pings {
+		if n.pings[i].nonce == nonce {
+			return i
+		}
+	}
+	return -1
+}
+
+// forgetPongs withdraws the evidence that peer answered after any of its
+// outstanding pings were sent: the pongs vouched for a life (or a view
+// entry) that is gone.
+func (n *Node) forgetPongs(peer NodeID) {
+	for i := range n.pings {
+		if n.pings[i].target == peer {
+			n.pings[i].answered = false
+		}
+	}
+}
+
 // expirePings drops ping contexts that never got a pong, and evicts the
-// unresponsive target from the member view (it is likely dead).
+// unresponsive target from the member view (it is likely dead). Pings
+// are queued in send order, so the expired ones form a prefix and are
+// handled oldest first.
 func (n *Node) expirePings() {
 	now := n.env.Now()
-	var expired []uint32
-	for nonce, ctx := range n.pings {
-		if now-ctx.sentAt > pingTimeout {
-			expired = append(expired, nonce)
-		}
+	k := 0
+	for k < len(n.pings) && now-n.pings[k].sentAt > pingTimeout {
+		k++
 	}
-	// Deterministic processing order: member-view eviction must not depend
-	// on map iteration order.
-	for i := 1; i < len(expired); i++ {
-		for j := i; j > 0 && expired[j] < expired[j-1]; j-- {
-			expired[j], expired[j-1] = expired[j-1], expired[j]
-		}
-	}
-	for _, nonce := range expired {
-		ctx := n.pings[nonce]
-		delete(n.pings, nonce)
+	// Handling an expiry can send pings (appended, never expired here) and
+	// clear marks on later expired ones, so index the live queue and drop
+	// the prefix only afterwards.
+	for i := 0; i < k; i++ {
+		ctx := n.pings[i]
 		if ctx.purpose == pingLandmark || ctx.purpose == pingMeasureLink {
 			continue
 		}
 		// A ping swallowed by a transient fault (e.g. a partition that has
 		// since healed) must not evict a member that answered a later ping.
-		if n.lastPong[ctx.target] > ctx.sentAt {
+		if ctx.answered {
 			continue
 		}
-		if n.neighbors[ctx.target] == nil {
+		if !n.isNeighbor(ctx.target) {
 			// Quarantine locally so stale gossip cannot immediately
 			// re-teach us the likely-dead entry (not spread: one lost
 			// datagram is weak evidence).
@@ -216,6 +247,9 @@ func (n *Node) expirePings() {
 		} else {
 			n.forgetMember(ctx.target)
 		}
+	}
+	if k > 0 {
+		n.pings = append(n.pings[:0], n.pings[k:]...)
 	}
 }
 

@@ -30,14 +30,14 @@ func (n *Node) syncTick() {
 		return
 	}
 	n.syncTimer = n.env.After(n.scaledSyncInterval(), n.tickSync)
-	if len(n.neighborOrder) == 0 {
+	if len(n.neighbors) == 0 {
 		return
 	}
-	if n.syncIdx >= len(n.neighborOrder) {
+	if n.syncIdx >= len(n.neighbors) {
 		n.syncIdx = 0
 	}
-	peer := n.neighborOrder[n.syncIdx]
-	n.syncIdx = (n.syncIdx + 1) % len(n.neighborOrder)
+	peer := n.neighbors[n.syncIdx].entry.ID
+	n.syncIdx = (n.syncIdx + 1) % len(n.neighbors)
 	n.requestSync(peer, false)
 }
 

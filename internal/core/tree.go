@@ -39,12 +39,12 @@ func (n *Node) advertiseTree(skip NodeID) {
 		return
 	}
 	adv := &TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot}
-	for _, id := range n.neighborOrder {
-		if id == skip {
+	for _, nb := range n.neighbors {
+		if nb.entry.ID == skip {
 			continue
 		}
 		n.stats.TreeAdverts++
-		n.env.Send(id, adv)
+		n.env.Send(nb.entry.ID, adv)
 	}
 }
 
@@ -69,7 +69,7 @@ func (n *Node) handleTreeAdvert(from NodeID, m *TreeAdvert) {
 	if !n.cfg.EnableTree {
 		return
 	}
-	nb := n.neighbors[from]
+	nb := n.findNeighbor(from)
 	if nb == nil {
 		return // adverts only travel over overlay links
 	}
@@ -132,7 +132,7 @@ func (n *Node) setParent(p NodeID) {
 	}
 	old := n.parent
 	if old != None {
-		if _, ok := n.neighbors[old]; ok {
+		if n.isNeighbor(old) {
 			n.env.Send(old, &TreeParent{On: false})
 		}
 	}
@@ -156,7 +156,7 @@ func (n *Node) setParent(p NodeID) {
 
 // handleTreeParent maintains the children set.
 func (n *Node) handleTreeParent(from NodeID, m *TreeParent) {
-	if _, ok := n.neighbors[from]; !ok {
+	if !n.isNeighbor(from) {
 		return
 	}
 	if m.On {
@@ -202,9 +202,8 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 	// (healed at the next wave anyway, but avoid when we can).
 	best := None
 	var bestDist time.Duration = distInfinity
-	for _, id := range n.neighborOrder {
-		nb := n.neighbors[id]
-		if nb == nil || !nb.hasAdvert {
+	for _, nb := range n.neighbors {
+		if !nb.hasAdvert {
 			continue
 		}
 		a := nb.advert
@@ -212,7 +211,7 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 			continue
 		}
 		if d := a.Dist + n.linkLatency(nb); d < bestDist && d <= old {
-			bestDist, best = d, id
+			bestDist, best = d, nb.entry.ID
 		}
 	}
 	if best != None {
@@ -225,8 +224,8 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 	// re-attachment does not have to wait for the next heartbeat wave.
 	n.lostDist = old
 	req := &TreeAdvertReq{}
-	for _, id := range n.neighborOrder {
-		n.env.Send(id, req)
+	for _, nb := range n.neighbors {
+		n.env.Send(nb.entry.ID, req)
 	}
 }
 
@@ -235,7 +234,7 @@ func (n *Node) handleTreeAdvertReq(from NodeID) {
 	if !n.cfg.EnableTree || n.distToRoot == distInfinity {
 		return
 	}
-	if _, ok := n.neighbors[from]; !ok {
+	if !n.isNeighbor(from) {
 		return
 	}
 	n.stats.TreeAdverts++
@@ -294,9 +293,9 @@ func (n *Node) TreeNeighbors() []NodeID {
 	if n.parent != None {
 		out = append(out, n.parent)
 	}
-	for _, id := range n.neighborOrder {
-		if n.children[id] {
-			out = append(out, id)
+	for _, nb := range n.neighbors {
+		if n.children[nb.entry.ID] {
+			out = append(out, nb.entry.ID)
 		}
 	}
 	return out
@@ -307,7 +306,7 @@ func (n *Node) TreeNeighbors() []NodeID {
 func (n *Node) TreeLinkRTTs() []time.Duration {
 	var out []time.Duration
 	for _, id := range n.TreeNeighbors() {
-		if nb := n.neighbors[id]; nb != nil {
+		if nb := n.findNeighbor(id); nb != nil {
 			out = append(out, nb.rtt)
 		}
 	}

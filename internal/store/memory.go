@@ -101,17 +101,17 @@ func (m *Memory) alloc() int32 {
 		return i
 	}
 	if len(m.slab) == cap(m.slab) {
-		// Doubling, except a store that has demonstrably grown large (past
-		// 512 records) jumps straight to its count cap: one resize for the
-		// rest of its life instead of several more allocate-zero-copy
-		// rounds. Small stores — the overwhelming majority in a simulated
-		// swarm — never overallocate.
-		newCap := cap(m.slab) * 2
+		// Quadrupling keeps the slab within a small factor of the slots it
+		// holds while a store that fills to a 10k count cap resizes only
+		// five times. A bounded store rarely needs more slots than its
+		// count cap plus a few tombstones, so a step that would come within
+		// 2x of the cap goes to the cap instead (at most 8x); the next
+		// quadrupling would overshoot it anyway.
+		newCap := cap(m.slab) * 4
 		if newCap < 32 {
 			newCap = 32
 		}
-		if mm := m.limits.MaxMessages; mm > 0 && mm <= 1<<20 &&
-			cap(m.slab) >= 512 && newCap < mm+1 {
+		if mm := m.limits.MaxMessages; mm > 0 && cap(m.slab) < mm+1 && 2*newCap > mm+1 {
 			newCap = mm + 1
 		}
 		grown := make([]memRec, len(m.slab), newCap)

@@ -227,3 +227,29 @@ func TestEvictQueueDoesNotGrowUnbounded(t *testing.T) {
 		t.Fatalf("eviction queue holds %d entries after steady-state GC", len(m.evictQ))
 	}
 }
+
+// TestSlabStaysProportional pins the record slab to a small constant
+// factor of the slots in use. A store that jumped to its count cap once
+// it passed 512 records held 16,385 slots (about 1.9 MiB) after 600 Puts
+// under the default limits, which multiplied a 1,024-node simulation's
+// footprint by gigabytes.
+func TestSlabStaysProportional(t *testing.T) {
+	m := NewMemory(Limits{})
+	for k := 0; k < 3000; k++ {
+		m.Put(id(int32(k%7), uint32(k)), []byte("x"), 0)
+		if n := len(m.slab); cap(m.slab) > 32 && cap(m.slab) > 8*n {
+			t.Fatalf("after %d Puts: slab cap %d for %d slots", k+1, cap(m.slab), n)
+		}
+		if k+1 == 600 && cap(m.slab) > 2048 {
+			t.Fatalf("after 600 Puts: slab cap %d, want <= 2048", cap(m.slab))
+		}
+	}
+	// A bounded store never grows past its count cap plus one in a step.
+	b := NewMemory(Limits{MaxMessages: 1000})
+	for k := 0; k < 1000; k++ {
+		b.Put(id(1, uint32(k)), []byte("x"), 0)
+	}
+	if cap(b.slab) > 1001 {
+		t.Fatalf("slab cap %d exceeds count cap 1000 + 1", cap(b.slab))
+	}
+}
