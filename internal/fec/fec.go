@@ -145,28 +145,32 @@ func split(payload []byte, p Params) ([][]byte, error) {
 	return out, nil
 }
 
-// RS is the Cauchy Reed-Solomon coder over GF(256). Repair row i is
-// parity[i][j] = 1/(x_i ⊕ y_j) with x_i = K+i and y_j = j: the x and y
-// element sets are disjoint, so the matrix is Cauchy and every square
-// submatrix of [I; parity] is invertible — the MDS property the coopcast
-// protocol relies on ("any K of N symbols reconstruct").
+// RS is the Cauchy Reed-Solomon coder over GF(256). Repair i is
+// Σ_j P(j,i)·source_j with P(j,i) = 1/(x_i ⊕ y_j), x_i = K+i and y_j = j:
+// the x and y element sets are disjoint, so the matrix is Cauchy and
+// every square submatrix of [I; P] is invertible — the MDS property the
+// coopcast protocol relies on ("any K of N symbols reconstruct"). P is
+// stored by source, so one pass over a source symbol hands every repair
+// its coefficient.
 //
 // Decode working memory is recycled through a sync.Pool, so the coder
-// stays safe for concurrent use while steady-state Reconstruct allocates
-// only the recovered symbols themselves (one slab per call).
+// stays safe for concurrent use while steady-state Reconstruct, like
+// Encode, allocates only the symbols it produces (one slab per call).
 type RS struct {
 	p       Params
-	parity  [][]byte  // R rows × K cols
+	parity  []byte    // P, K×R: P(j,i) is parity[j*R+i]
 	scratch sync.Pool // *rsScratch
 }
 
-// rsScratch is one decode's reusable working set, sized once per coder
-// geometry: at most R sources can be missing (more is ErrShortSet), so
-// every piece is R-bounded.
+// rsScratch is one call's reusable working set, sized once per coder
+// geometry: at most R sources can be missing (more is ErrShortSet) and at
+// most R repairs derived, so every piece is R-bounded.
 type rsScratch struct {
 	miss []int    // missing source indexes
-	reps []int    // repair indexes drafted into the system
-	acc  [][]byte // per-drafted-repair accumulator, SymbolSize each
+	reps []int    // repair indexes drafted into the system, or derived
+	acc  [][]byte // per-drafted-repair accumulator, SymbolSize each; made on first decode
+	outs [][]byte // the symbols one mulAddCols pass writes
+	cs   []byte   // their coefficients for the current input symbol
 	mat  []byte   // m×m Cauchy submatrix, mutated by the inversion
 	inv  []byte   // its inverse
 }
@@ -178,26 +182,21 @@ func NewRS(p Params) (*RS, error) {
 	if !p.Valid() {
 		return nil, fmt.Errorf("%w: K=%d R=%d SymbolSize=%d", ErrBadParams, p.K, p.R, p.SymbolSize)
 	}
-	rs := &RS{p: p, parity: make([][]byte, p.R)}
-	for i := 0; i < p.R; i++ {
-		row := make([]byte, p.K)
-		for j := 0; j < p.K; j++ {
-			row[j] = gfInv(byte(p.K+i) ^ byte(j))
+	rs := &RS{p: p, parity: make([]byte, p.K*p.R)}
+	for j := 0; j < p.K; j++ {
+		for i := 0; i < p.R; i++ {
+			rs.parity[j*p.R+i] = gfInv(byte(p.K+i) ^ byte(j))
 		}
-		rs.parity[i] = row
 	}
 	rs.scratch.New = func() any {
-		sc := &rsScratch{
+		return &rsScratch{
 			miss: make([]int, 0, p.R),
 			reps: make([]int, 0, p.R),
-			acc:  make([][]byte, p.R),
+			outs: make([][]byte, p.R),
+			cs:   make([]byte, p.R),
 			mat:  make([]byte, p.R*p.R),
 			inv:  make([]byte, p.R*p.R),
 		}
-		for i := range sc.acc {
-			sc.acc[i] = make([]byte, p.SymbolSize)
-		}
-		return sc
 	}
 	return rs, nil
 }
@@ -207,18 +206,52 @@ func (rs *RS) Params() Params { return rs.p }
 
 // Encode produces the N symbols of a payload.
 func (rs *RS) Encode(payload []byte) ([][]byte, error) {
-	syms, err := split(payload, rs.p)
+	p := rs.p
+	syms, err := split(payload, p)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < rs.p.R; i++ {
-		rep := make([]byte, rs.p.SymbolSize)
-		for j := 0; j < rs.p.K; j++ {
-			mulAddRow(rep, syms[j], rs.parity[i][j])
-		}
-		syms[rs.p.K+i] = rep
+	reps := syms[p.K:]
+	carve(reps, p.SymbolSize)
+	for j, src := range syms[:p.K] {
+		mulAddCols(reps, src, rs.parity[j*p.R:(j+1)*p.R])
 	}
 	return syms, nil
+}
+
+// carve points every slot of dst at its own size-byte piece of one new
+// slab. Full-slice expressions keep a later append on one symbol from
+// clobbering its neighbor.
+func carve(dst [][]byte, size int) {
+	slab := make([]byte, len(dst)*size)
+	for i := range dst {
+		dst[i] = slab[i*size : (i+1)*size : (i+1)*size]
+	}
+}
+
+// deriveRepairs re-encodes the missing repair symbols of a vector whose
+// sources are all present.
+func (rs *RS) deriveRepairs(syms [][]byte, sc *rsScratch) {
+	p := rs.p
+	rows := sc.reps[:0]
+	for i, s := range syms[p.K:] {
+		if s == nil {
+			rows = append(rows, i)
+		}
+	}
+	outs, cs := sc.outs[:len(rows)], sc.cs[:len(rows)]
+	carve(outs, p.SymbolSize)
+	for j, src := range syms[:p.K] {
+		for t, i := range rows {
+			cs[t] = rs.parity[j*p.R+i]
+		}
+		mulAddCols(outs, src, cs)
+	}
+	for t, i := range rows {
+		syms[p.K+i] = outs[t]
+	}
+	clear(outs) // pooled scratch must not pin the caller's symbols
+	sc.reps = rows
 }
 
 // Reconstruct fills every missing symbol in place from any K present ones.
@@ -244,22 +277,20 @@ func (rs *RS) Reconstruct(symbols [][]byte) error {
 	if have < p.K {
 		return fmt.Errorf("%w: have %d, K=%d", ErrShortSet, have, p.K)
 	}
+	if have == p.N() {
+		return nil
+	}
+	sc := rs.scratch.Get().(*rsScratch)
+	defer rs.scratch.Put(sc)
 	if missingSrc > 0 {
-		if err := rs.solveSources(symbols); err != nil {
+		if err := rs.solveSources(symbols, sc); err != nil {
 			return err
 		}
 	}
 	// With all sources present, missing repair symbols are re-derived by
 	// straight encoding.
-	for i := 0; i < p.R; i++ {
-		if symbols[p.K+i] != nil {
-			continue
-		}
-		rep := make([]byte, p.SymbolSize)
-		for j := 0; j < p.K; j++ {
-			mulAddRow(rep, symbols[j], rs.parity[i][j])
-		}
-		symbols[p.K+i] = rep
+	if have+missingSrc < p.N() {
+		rs.deriveRepairs(symbols, sc)
 	}
 	return nil
 }
@@ -272,10 +303,8 @@ func (rs *RS) Reconstruct(symbols [][]byte) error {
 // O(K²·SymbolSize) with K row allocations is O((K+m)·m·SymbolSize) with
 // pooled scratch. The m×m matrix is a square submatrix of the Cauchy
 // parity block, hence invertible.
-func (rs *RS) solveSources(symbols [][]byte) error {
+func (rs *RS) solveSources(symbols [][]byte, sc *rsScratch) error {
 	p := rs.p
-	sc := rs.scratch.Get().(*rsScratch)
-	defer rs.scratch.Put(sc)
 	miss := sc.miss[:0]
 	for j := 0; j < p.K; j++ {
 		if symbols[j] == nil {
@@ -293,37 +322,46 @@ func (rs *RS) solveSources(symbols [][]byte) error {
 		// Unreachable after Reconstruct's have >= K check; kept as a guard.
 		return fmt.Errorf("%w: %d sources missing, %d repairs held", ErrShortSet, m, len(reps))
 	}
-	// acc[ri] = repair_{reps[ri]} ⊕ Σ_{present j} parity[reps[ri]][j]·src_j:
+	// acc[ri] = repair_{reps[ri]} ⊕ Σ_{present j} P(j,reps[ri])·src_j:
 	// what the missing sources must still account for.
+	if sc.acc == nil {
+		sc.acc = make([][]byte, p.R)
+		carve(sc.acc, p.SymbolSize)
+	}
+	acc, cs := sc.acc[:m], sc.cs[:m]
 	for ri, i := range reps {
-		acc := sc.acc[ri]
-		copy(acc, symbols[p.K+i])
-		row := rs.parity[i]
-		for j := 0; j < p.K; j++ {
-			if symbols[j] != nil {
-				mulAddRow(acc, symbols[j], row[j])
-			}
+		copy(acc[ri], symbols[p.K+i])
+	}
+	for j, src := range symbols[:p.K] {
+		if src == nil {
+			continue
 		}
+		for ri, i := range reps {
+			cs[ri] = rs.parity[j*p.R+i]
+		}
+		mulAddCols(acc, src, cs)
 	}
 	mat, inv := sc.mat[:m*m], sc.inv[:m*m]
 	for ri, i := range reps {
 		for ci, j := range miss {
-			mat[ri*m+ci] = rs.parity[i][j]
+			mat[ri*m+ci] = rs.parity[j*p.R+i]
 		}
 	}
 	if err := gfInvertMatrix(mat, inv, m); err != nil {
 		return err
 	}
-	// One slab for all recovered symbols; full-slice expressions keep a
-	// later append on one from clobbering its neighbor.
-	slab := make([]byte, m*p.SymbolSize)
-	for ci, j := range miss {
-		out := slab[ci*p.SymbolSize : (ci+1)*p.SymbolSize : (ci+1)*p.SymbolSize]
-		for ri := range reps {
-			mulAddRow(out, sc.acc[ri], inv[ci*m+ri])
+	outs := sc.outs[:m]
+	carve(outs, p.SymbolSize)
+	for ri, a := range acc {
+		for ci := range cs {
+			cs[ci] = inv[ci*m+ri]
 		}
-		symbols[j] = out
+		mulAddCols(outs, a, cs)
 	}
+	for ci, j := range miss {
+		symbols[j] = outs[ci]
+	}
+	clear(outs)
 	sc.miss, sc.reps = miss, reps
 	return nil
 }
@@ -354,25 +392,19 @@ func gfInvertMatrix(mat, inv []byte, n int) error {
 				inv[col*n+j], inv[piv*n+j] = inv[piv*n+j], inv[col*n+j]
 			}
 		}
-		if c := mat[col*n+col]; c != 1 {
+		pm, pi := mat[col*n:(col+1)*n], inv[col*n:(col+1)*n]
+		if c := pm[col]; c != 1 {
 			ic := gfInv(c)
-			for j := 0; j < n; j++ {
-				mat[col*n+j] = gfMul(mat[col*n+j], ic)
-				inv[col*n+j] = gfMul(inv[col*n+j], ic)
-			}
+			mulRow(pm, ic)
+			mulRow(pi, ic)
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
 			c := mat[r*n+col]
-			if c == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				mat[r*n+j] ^= gfMul(c, mat[col*n+j])
-				inv[r*n+j] ^= gfMul(c, inv[col*n+j])
-			}
+			mulAddRow(mat[r*n:(r+1)*n], pm, c)
+			mulAddRow(inv[r*n:(r+1)*n], pi, c)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package fec
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -80,6 +81,108 @@ func TestAnyKOfN(t *testing.T) {
 				t.Fatalf("geometry %+v keep=%v: payload mismatches", p, keep)
 			}
 		}
+	}
+}
+
+// TestAnyKOfNRandomized turns the package's "any K of the N symbols
+// reconstruct" claim into a property over seeded random geometries (K
+// 1–64, R 0–8, symbol sizes from 1 byte to 1 KiB, payloads that pad the
+// last symbol) for both coders. Every erasure set of at most R symbols —
+// random mixes of sources and repairs, the first R sources, the last R
+// sources, all repairs — must restore every slot to Encode's output
+// without touching received buffers; R+1 erasures must be ErrShortSet.
+func TestAnyKOfNRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sizes := []int{1, 2, 3, 17, 100, 255, 1024}
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(64)
+		sym := sizes[rng.Intn(len(sizes))]
+		rs, err := NewRS(Params{K: k, R: rng.Intn(9), SymbolSize: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnyKOfN(t, rng, rs)
+		x, err := NewXOR(Params{K: k, R: 1, SymbolSize: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnyKOfN(t, rng, x)
+	}
+}
+
+// checkAnyKOfN runs the erasure sets of TestAnyKOfNRandomized on one coder.
+func checkAnyKOfN(t *testing.T, rng *rand.Rand, c Coder) {
+	t.Helper()
+	p := c.Params()
+	// Any length that fills K symbols only partly; prefer one that is not
+	// a multiple of K.
+	payloadLen := (p.K-1)*p.SymbolSize + 1 + rng.Intn(p.SymbolSize)
+	if payloadLen%p.K == 0 && payloadLen > (p.K-1)*p.SymbolSize+1 {
+		payloadLen--
+	}
+	payload := randPayload(payloadLen, rng.Int63())
+	full, err := c.Encode(payload)
+	if err != nil {
+		t.Fatalf("%+v: Encode: %v", p, err)
+	}
+	want := make([][]byte, len(full))
+	for i, s := range full {
+		want[i] = append([]byte(nil), s...)
+	}
+	span := func(lo, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = lo + i
+		}
+		return out
+	}
+	srcR := min(p.R, p.K)
+	sets := [][]int{
+		nil,
+		span(0, srcR),        // first R sources
+		span(p.K-srcR, srcR), // last R sources
+		span(p.K, p.R),       // all repairs
+	}
+	for i := 0; i < 6; i++ {
+		sets = append(sets, rng.Perm(p.N())[:rng.Intn(p.R+1)])
+	}
+	if p.R >= 2 {
+		// Half sources, half repairs.
+		h := p.R / 2
+		mixed := rng.Perm(p.K)[:min(h, p.K)]
+		for _, j := range rng.Perm(p.R)[:p.R-h] {
+			mixed = append(mixed, p.K+j)
+		}
+		sets = append(sets, mixed)
+	}
+	for _, erase := range sets {
+		syms := make([][]byte, p.N())
+		copy(syms, full)
+		for _, i := range erase {
+			syms[i] = nil
+		}
+		if err := c.Reconstruct(syms); err != nil {
+			t.Fatalf("%T %+v erase=%v: %v", c, p, erase, err)
+		}
+		for i := range syms {
+			if !bytes.Equal(syms[i], want[i]) {
+				t.Fatalf("%T %+v erase=%v: symbol %d differs from Encode's", c, p, erase, i)
+			}
+			if !bytes.Equal(full[i], want[i]) {
+				t.Fatalf("%T %+v erase=%v: received symbol %d was modified", c, p, erase, i)
+			}
+		}
+		if got := Join(syms, p, payloadLen); !bytes.Equal(got, payload) {
+			t.Fatalf("%T %+v erase=%v: payload differs", c, p, erase)
+		}
+	}
+	syms := make([][]byte, p.N())
+	copy(syms, full)
+	for _, i := range rng.Perm(p.N())[:p.R+1] {
+		syms[i] = nil
+	}
+	if err := c.Reconstruct(syms); !errors.Is(err, ErrShortSet) {
+		t.Fatalf("%T %+v with R+1 erasures: err = %v, want ErrShortSet", c, p, err)
 	}
 }
 
