@@ -88,7 +88,7 @@ func newApp(args []string, w io.Writer) (*app, error) {
 		adminAddr = fs.String("admin-addr", "", "HTTP admin listen address serving /metrics, /statusz, /healthz, /tracez, /debug/pprof (empty disables)")
 
 		dialTimeout    = fs.Duration("dial-timeout", 0, "per-connection dial timeout (0 = default 5s)")
-		writeTimeout   = fs.Duration("write-timeout", 0, "per-frame write deadline (0 = default 10s)")
+		writeTimeout   = fs.Duration("write-timeout", 0, "per-write deadline, one batch of frames (0 = default 10s)")
 		redialAttempts = fs.Int("redial-attempts", 0, "failed dials tolerated before a peer is reported down (0 = default 3, negative disables redial)")
 		redialBackoff  = fs.Duration("redial-backoff", 0, "initial redial backoff, doubled per failure with jitter (0 = default 100ms)")
 		redialMax      = fs.Duration("redial-backoff-max", 0, "redial backoff cap (0 = default 3s)")

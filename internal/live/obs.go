@@ -110,36 +110,49 @@ func (o *nodeObs) Event(ev core.ObsEvent, peer core.NodeID, a, b int64) {
 	if o.sample > 1 && (o.evCount-1)%int64(o.sample) != 0 {
 		return
 	}
-	e := trace.Event{At: o.n.env.Now(), Node: int32(o.n.opts.ID), Peer: int32(peer)}
+	e := trace.Event{At: o.n.env.Now(), Node: int32(o.n.opts.ID), Peer: int32(peer), A: a, B: b}
 	switch ev {
 	case core.EvSend:
-		id := core.UnpackMessageID(a)
-		e.Kind = trace.KindSend
-		e.Detail = fmt.Sprintf("msg=%d/%d", id.Source, id.Seq)
+		e.Kind, e.Render = trace.KindSend, renderMsg
 	case core.EvDeliver:
-		id := core.UnpackMessageID(a)
-		e.Kind = trace.KindDeliver
-		e.Detail = fmt.Sprintf("msg=%d/%d age=%v", id.Source, id.Seq, time.Duration(b))
+		e.Kind, e.Render = trace.KindDeliver, renderDeliver
 	case core.EvLinkUp:
-		e.Kind = trace.KindLinkUp
-		e.Detail = fmt.Sprintf("kind=%v rtt=%v", core.LinkKind(a), time.Duration(b))
+		e.Kind, e.Render = trace.KindLinkUp, renderLink
 	case core.EvLinkDown:
-		e.Kind = trace.KindLinkDown
-		e.Detail = fmt.Sprintf("kind=%v rtt=%v", core.LinkKind(a), time.Duration(b))
+		e.Kind, e.Render = trace.KindLinkDown, renderLink
 	case core.EvParent:
-		e.Kind = trace.KindParentChange
-		e.Detail = fmt.Sprintf("%d -> %d", a, b)
+		e.Kind, e.Render = trace.KindParentChange, renderChange
 	case core.EvRoot:
-		e.Kind = trace.KindRootChange
-		e.Detail = fmt.Sprintf("%d -> %d", a, b)
+		e.Kind, e.Render = trace.KindRootChange, renderChange
 	case core.EvPull:
-		id := core.UnpackMessageID(a)
-		e.Kind = trace.KindPull
-		e.Detail = fmt.Sprintf("msg=%d/%d attempt=%d", id.Source, id.Seq, b)
+		e.Kind, e.Render = trace.KindPull, renderPull
 	default:
 		return
 	}
 	o.n.tbuf.Add(e)
+}
+
+// Trace-ring detail renderers: the ring stores each event's raw arguments
+// and formats them only when the ring is read (/tracez, /trace).
+func renderMsg(a, _ int64) string {
+	id := core.UnpackMessageID(a)
+	return fmt.Sprintf("msg=%d/%d", id.Source, id.Seq)
+}
+
+func renderDeliver(a, b int64) string {
+	id := core.UnpackMessageID(a)
+	return fmt.Sprintf("msg=%d/%d age=%v", id.Source, id.Seq, time.Duration(b))
+}
+
+func renderLink(a, b int64) string {
+	return fmt.Sprintf("kind=%v rtt=%v", core.LinkKind(a), time.Duration(b))
+}
+
+func renderChange(a, b int64) string { return fmt.Sprintf("%d -> %d", a, b) }
+
+func renderPull(a, b int64) string {
+	id := core.UnpackMessageID(a)
+	return fmt.Sprintf("msg=%d/%d attempt=%d", id.Source, id.Seq, b)
 }
 
 // setupObs wires the node's registry, trace ring, and core observer. Called

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -100,9 +101,21 @@ func TestObsMetricsAndTraceWiring(t *testing.T) {
 	if len(delivers) == 0 {
 		t.Errorf("receiver trace has no deliver events: %s", tb.Summary())
 	}
+	// Details are recorded raw and rendered on read, in the same text an
+	// eagerly formatted ring showed.
+	for _, e := range delivers {
+		if !regexp.MustCompile(`^msg=\d+/\d+ age=\S+$`).MatchString(e.Detail) {
+			t.Errorf("deliver event detail %q, want msg=<src>/<seq> age=<d>", e.Detail)
+		}
+	}
 	ups := tb.Query(trace.Filter{Kinds: []trace.Kind{trace.KindLinkUp}, Node: -1})
 	if len(ups) == 0 {
 		t.Errorf("receiver trace has no link-up events: %s", tb.Summary())
+	}
+	for _, e := range ups {
+		if !strings.HasPrefix(e.Detail, "kind=") || !strings.Contains(e.String(), " rtt=") {
+			t.Errorf("link-up event detail %q / line %q, want kind=<k> rtt=<d>", e.Detail, e)
+		}
 	}
 }
 

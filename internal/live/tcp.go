@@ -51,9 +51,10 @@ var ctrDroppedByClass = [core.NumClasses]string{
 type TCPOptions struct {
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline; a peer that stalls
-	// longer than this has its connection broken and redialed so the
-	// writer goroutine can never wedge forever (default 10s).
+	// WriteTimeout is the deadline of each write (one batch of queued
+	// frames); a peer that stalls longer than this has its connection
+	// broken and redialed so the writer goroutine can never wedge forever
+	// (default 10s).
 	WriteTimeout time.Duration
 	// RedialAttempts is how many consecutive failed dials are tolerated
 	// before the peer is reported to the FailureHandler (default 3;
@@ -89,8 +90,8 @@ type TCPOptions struct {
 	// QueueBackground caps the per-peer Background ring (default 64);
 	// overflow sheds the frame.
 	QueueBackground int
-	// SlowWriteThreshold marks a peer slow when its per-frame write
-	// latency EWMA exceeds it; a slow peer has Background traffic paused
+	// SlowWriteThreshold marks a peer slow when its per-write latency
+	// EWMA exceeds it; a slow peer has Background traffic paused
 	// and Repair traffic halved until the EWMA falls below half the
 	// threshold (default 200ms; negative disables flow control).
 	SlowWriteThreshold time.Duration
@@ -188,6 +189,52 @@ type TCPTransport struct {
 	encLogged  map[string]bool // peers whose encode errors were already logged
 	wg         sync.WaitGroup
 	stopReaper chan struct{}
+
+	// freeMu guards freeBufs, the bounded free list of small frame
+	// buffers: writers return each frame they copied into a batch, and
+	// Send and SendDatagram encode into one.
+	freeMu   sync.Mutex
+	freeBufs [][]byte
+}
+
+// Frame path bounds.
+const (
+	// maxWriteBatch bounds the bytes one write coalesces; a frame larger
+	// than this is written alone, straight from its own buffer.
+	maxWriteBatch = 64 << 10
+	// maxPooledFrame is the largest frame buffer kept for reuse, and
+	// freeListSize how many are kept per transport.
+	maxPooledFrame = 4 << 10
+	freeListSize   = 256
+)
+
+// frameBuf returns an empty frame buffer from the free list, or nil.
+func (t *TCPTransport) frameBuf() []byte {
+	t.freeMu.Lock()
+	defer t.freeMu.Unlock()
+	n := len(t.freeBufs)
+	if n == 0 {
+		return nil
+	}
+	b := t.freeBufs[n-1]
+	t.freeBufs[n-1] = nil
+	t.freeBufs = t.freeBufs[:n-1]
+	return b[:0]
+}
+
+// recycle returns frame buffers whose bytes are no longer needed to the
+// free list, keeping only small ones and only up to freeListSize.
+func (t *TCPTransport) recycle(bufs ...[]byte) {
+	t.freeMu.Lock()
+	defer t.freeMu.Unlock()
+	for _, b := range bufs {
+		if len(t.freeBufs) == freeListSize {
+			return
+		}
+		if cap(b) <= maxPooledFrame {
+			t.freeBufs = append(t.freeBufs, b)
+		}
+	}
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -227,6 +274,10 @@ func (r *frameRing) push(b []byte) bool {
 	return true
 }
 
+// peek returns the oldest queued frame without removing it; r must be
+// non-empty.
+func (r *frameRing) peek() []byte { return r.buf[r.head] }
+
 func (r *frameRing) pop() ([]byte, bool) {
 	if r.n == 0 {
 		return nil, false
@@ -260,13 +311,13 @@ type peerConn struct {
 	done     chan struct{}
 	once     sync.Once
 	conn     net.Conn     // guarded by the transport mutex
-	lastUsed atomic.Int64 // unix nanos of the last Send toward this peer
+	lastUsed atomic.Int64 // unix nanos of the writer's last batch toward this peer
 
 	qmu   sync.Mutex
 	rings [core.NumClasses]frameRing
 	wake  chan struct{} // carries at most one token; writer drains per token
 
-	// Flow control: a peer whose per-frame write latency EWMA exceeds
+	// Flow control: a peer whose per-write latency EWMA exceeds
 	// SlowWriteThreshold is "slow" — Background enqueues pause and Repair
 	// halves — until the EWMA falls below half the threshold.
 	slow   atomic.Bool
@@ -315,16 +366,59 @@ func (pc *peerConn) enqueue(cls core.Class, buf []byte) (res enqResult, critDept
 	return enqOK, critDepth
 }
 
-// popFrame dequeues the highest-priority queued frame.
-func (pc *peerConn) popFrame() ([]byte, bool) {
+// frameBatch is one peer writer's outgoing batch: queued frames copied
+// into buf, or one frame over maxWriteBatch held in large and written
+// without a copy. A batch whose write failed stays whole and is written
+// first on the next connection.
+type frameBatch struct {
+	buf    []byte
+	large  []byte
+	frames int
+	spent  [][]byte // frame buffers copied into buf, not yet recycled
+}
+
+func (b *frameBatch) bytes() []byte {
+	if b.large != nil {
+		return b.large
+	}
+	return b.buf
+}
+
+func (b *frameBatch) reset() {
+	b.buf, b.large, b.frames = b.buf[:0], nil, 0
+}
+
+// fillBatch moves queued frames into the empty batch b, Critical first,
+// until the next frame would take it past maxWriteBatch, and stamps
+// lastUsed with now. It reports whether b holds a frame. Stamping under
+// qmu means the reaper sees either the frames still queued or the fresh
+// stamp, never an idle peer with a batch about to go out.
+func (pc *peerConn) fillBatch(b *frameBatch, now time.Time) bool {
 	pc.qmu.Lock()
 	defer pc.qmu.Unlock()
+fill:
 	for c := range pc.rings {
-		if b, ok := pc.rings[c].pop(); ok {
-			return b, true
+		r := &pc.rings[c]
+		for r.n > 0 {
+			f := r.peek()
+			if b.frames > 0 && len(b.buf)+len(f) > maxWriteBatch {
+				break fill
+			}
+			r.pop()
+			b.frames++
+			if len(f) > maxWriteBatch {
+				b.large = f
+				break fill
+			}
+			b.buf = append(b.buf, f...)
+			b.spent = append(b.spent, f)
 		}
 	}
-	return nil, false
+	if b.frames == 0 {
+		return false
+	}
+	pc.lastUsed.Store(now.UnixNano())
+	return true
 }
 
 // queuedPerClass snapshots the per-class queue depths (drop accounting,
@@ -453,7 +547,7 @@ func (t *TCPTransport) Send(addr string, to core.NodeID, m core.Message) {
 	if t.opts.ShedPolicy == "off" {
 		cls = core.ClassCritical
 	}
-	buf, err := wire.Append(nil, t.id, m)
+	buf, err := wire.Append(t.frameBuf(), t.id, m)
 	if err != nil {
 		t.encodeError(addr, err)
 		return
@@ -462,8 +556,10 @@ func (t *TCPTransport) Send(addr string, to core.NodeID, m core.Message) {
 	if pc == nil {
 		return
 	}
-	pc.lastUsed.Store(time.Now().UnixNano())
 	res, critDepth := pc.enqueue(cls, buf)
+	if res != enqOK {
+		t.recycle(buf)
+	}
 	switch res {
 	case enqOK:
 		// Crossing half the Critical soft cap kicks the overload governor
@@ -557,11 +653,12 @@ func (t *TCPTransport) QueuePressure() QueuePressure {
 // are dropped silently, as UDP semantics dictate, but serialization
 // failures are counted.
 func (t *TCPTransport) SendDatagram(addr string, to core.NodeID, m core.Message) {
-	buf, err := wire.Append(nil, t.id, m)
+	buf, err := wire.Append(t.frameBuf(), t.id, m)
 	if err != nil {
 		t.encodeError(addr, err)
 		return
 	}
+	defer t.recycle(buf)
 	if len(buf) > 60000 {
 		return
 	}
@@ -600,14 +697,14 @@ func (t *TCPTransport) peer(addr string, to core.NodeID) *peerConn {
 
 // writeLoop owns one peer's connection lifecycle: dial (with backoff
 // across failures), drain the frame queue onto the connection, and on a
-// broken pipe salvage the failed frame and redial. It exits when the peer
+// broken pipe salvage the failed batch and redial. It exits when the peer
 // is stopped or redial attempts are exhausted.
 func (t *TCPTransport) writeLoop(pc *peerConn) {
 	defer t.wg.Done()
 	backoff := t.opts.RedialBackoff
 	failures := 0
 	hadConn := false
-	var pending []byte // frame that failed mid-write, resent first
+	var batch frameBatch // holds a failed batch across redials, resent first
 	for {
 		conn, err := t.dialPeer(pc)
 		if err != nil {
@@ -619,11 +716,11 @@ func (t *TCPTransport) writeLoop(pc *peerConn) {
 			if failures > t.opts.RedialAttempts {
 				t.counters.Inc(CtrPeersFailed, 1)
 				t.countQueuedDrops(pc)
-				if pending != nil {
-					// The salvaged in-flight frame is lost with the peer;
-					// its class was erased when it left the ring, so it
-					// counts in the total only.
-					t.counters.Inc(CtrFramesDropped, 1)
+				if batch.frames > 0 {
+					// The salvaged batch is lost with the peer; its frames'
+					// classes were erased when they left the rings, so they
+					// count in the total only.
+					t.counters.Inc(CtrFramesDropped, int64(batch.frames))
 				}
 				t.dropPeer(pc, true)
 				return
@@ -647,11 +744,11 @@ func (t *TCPTransport) writeLoop(pc *peerConn) {
 		failures = 0
 		backoff = t.opts.RedialBackoff
 		hadConn = true
-		if !t.writeFrames(pc, conn, &pending) {
+		if !t.writeFrames(pc, conn, &batch) {
 			return
 		}
 		// Connection broke; loop redials. Frames still queued (and the
-		// salvaged pending frame) survive for the next connection. The
+		// salvaged batch) survive for the next connection. The
 		// short pause keeps a flapping peer from inducing a dial hot-loop.
 		if !t.pause(pc, withJitter(backoff)) {
 			return
@@ -693,34 +790,37 @@ func (t *TCPTransport) dialPeer(pc *peerConn) (net.Conn, error) {
 	return conn, nil
 }
 
-// writeFrames pumps queued frames onto conn, Critical first, until the
-// peer stops (returns false) or a write fails (returns true to redial; the
-// failed frame is left in *pending for resend). Each write's latency feeds
-// the peer's flow-control EWMA.
-func (t *TCPTransport) writeFrames(pc *peerConn, conn net.Conn, pending *[]byte) bool {
+// writeFrames pumps queued frames onto conn until the peer stops (returns
+// false) or a write fails (returns true to redial; the failed batch stays
+// in b for resend). Each wake drains whatever is queued into one batch —
+// it never waits for more — and sends it with one deadline and one write,
+// whose latency is one sample of the peer's flow-control EWMA.
+func (t *TCPTransport) writeFrames(pc *peerConn, conn net.Conn, b *frameBatch) bool {
 	for {
-		buf := *pending
-		for buf == nil {
-			var ok bool
-			if buf, ok = pc.popFrame(); ok {
-				break
+		now := time.Now()
+		if b.frames == 0 {
+			if !pc.fillBatch(b, now) {
+				select {
+				case <-pc.done:
+					conn.Close()
+					return false
+				case <-pc.wake:
+				}
+				continue
 			}
-			select {
-			case <-pc.done:
-				conn.Close()
-				return false
-			case <-pc.wake:
-			}
+			t.recycle(b.spent...)
+			clear(b.spent)
+			b.spent = b.spent[:0]
 		}
-		start := time.Now()
-		conn.SetWriteDeadline(start.Add(t.opts.WriteTimeout))
-		if _, err := conn.Write(buf); err != nil {
+		conn.SetWriteDeadline(now.Add(t.opts.WriteTimeout))
+		if _, err := conn.Write(b.bytes()); err != nil {
 			// A partial write is fine to retry: the broken connection is
 			// discarded wholesale, so the remote never sees a frame
-			// spliced across connections.
-			*pending = buf
+			// spliced across connections, and a frame that did get
+			// through before the break is a duplicate that core's seen
+			// set absorbs.
 			t.counters.Inc(CtrWriteErrors, 1)
-			t.counters.Inc(CtrFramesRequeue, 1)
+			t.counters.Inc(CtrFramesRequeue, int64(b.frames))
 			conn.Close()
 			t.mu.Lock()
 			if pc.conn == conn {
@@ -729,12 +829,12 @@ func (t *TCPTransport) writeFrames(pc *peerConn, conn net.Conn, pending *[]byte)
 			t.mu.Unlock()
 			return true
 		}
-		*pending = nil
-		t.noteWriteLatency(pc, time.Since(start))
+		b.reset()
+		t.noteWriteLatency(pc, time.Since(now))
 	}
 }
 
-// noteWriteLatency feeds one frame's write duration into the peer's EWMA
+// noteWriteLatency feeds one write's duration into the peer's EWMA
 // and flips its slow flag with hysteresis: pause above the threshold,
 // resume below half of it.
 func (t *TCPTransport) noteWriteLatency(pc *peerConn, d time.Duration) {
@@ -820,9 +920,9 @@ func (t *TCPTransport) DropConnections() int {
 	return len(conns)
 }
 
-// reapLoop periodically stops outbound connections that have carried no
-// Send for IdleTimeout. Reaping is silent: the peer is not reported down,
-// and the next Send toward it simply redials.
+// reapLoop periodically stops outbound connections that have written
+// nothing for IdleTimeout and have nothing queued. Reaping is silent: the
+// peer is not reported down, and the next Send toward it simply redials.
 func (t *TCPTransport) reapLoop() {
 	defer t.wg.Done()
 	period := t.opts.IdleTimeout / 4
@@ -881,14 +981,28 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	// The transport owns the socket reads, as it owns the writes: each
+	// read takes in every frame the peer's batch put on the wire, and the
+	// wire reader decodes them in place from its reused buffer.
+	var fr wire.Reader
 	for {
-		from, m, err := wire.ReadFrame(conn)
-		if err != nil {
-			return
-		}
+		n, rerr := conn.Read(fr.Space())
+		fr.Fill(n)
 		h, _ := t.handlers()
-		if h != nil {
-			h(from, m)
+		for {
+			from, m, ok, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if !ok {
+				break
+			}
+			if h != nil {
+				h(from, m)
+			}
+		}
+		if rerr != nil {
+			return
 		}
 	}
 }

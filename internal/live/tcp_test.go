@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/store"
+	"gocast/internal/wire"
 )
 
 // fastTCPOptions returns resilience tuning suitable for tests: quick
@@ -377,5 +380,286 @@ func TestTCPSlowPeerPausesBackground(t *testing.T) {
 	tr.Send(dead, 2, &core.SyncRequest{})
 	if got := tr.Stats()[CtrDroppedBackground]; got != 1 {
 		t.Fatalf("dropped_background = %d after resume, want still 1", got)
+	}
+}
+
+// tcpTestMsg is a tree-pushed (Critical) or pulled (Repair) multicast
+// tagged with seq, so a receiver can check order and completeness.
+func tcpTestMsg(seq uint32, viaTree bool) *core.Multicast {
+	return &core.Multicast{ID: core.MessageID{Source: 1, Seq: seq}, Payload: []byte("frame"), ViaTree: viaTree}
+}
+
+// TestTCPQueuedFramesArriveInClassOrder queues frames of every class
+// toward a peer that is not listening yet. Once it comes up, the writer's
+// first batches carry every queued frame, Critical first and each class in
+// send order.
+func TestTCPQueuedFramesArriveInClassOrder(t *testing.T) {
+	a := mustTCP(t, 1, TCPOptions{
+		DialTimeout:      time.Second,
+		RedialAttempts:   1000,
+		RedialBackoff:    10 * time.Millisecond,
+		RedialBackoffMax: 20 * time.Millisecond,
+		IdleTimeout:      -1,
+	})
+	defer a.Close()
+	addr := deadTCPAddr(t)
+
+	const perClass = 10
+	for i := uint32(0); i < perClass; i++ {
+		a.Send(addr, 2, &core.SyncRequest{Ranges: []store.SourceRange{{Source: int32(i)}}}) // Background
+		a.Send(addr, 2, tcpTestMsg(i, false))                                               // Repair
+		a.Send(addr, 2, tcpTestMsg(i, true))                                                // Critical
+	}
+	for deadline := time.Now().Add(5 * time.Second); a.Stats()[CtrDialErrors] == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no refused dial while the peer is down")
+		}
+	}
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("address %s was taken before the peer came up: %v", addr, err)
+	}
+	defer ln.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var fr wire.Reader
+	for want := 0; want < 3*perClass; want++ {
+		_, m, ok, err := fr.Next()
+		for !ok && err == nil {
+			n, rerr := conn.Read(fr.Space())
+			fr.Fill(n)
+			if _, m, ok, err = fr.Next(); !ok && err == nil {
+				err = rerr
+			}
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", want, err)
+		}
+		seq := uint32(want % perClass)
+		var match bool
+		switch want / perClass {
+		case 0:
+			mc, isMC := m.(*core.Multicast)
+			match = isMC && mc.ViaTree && mc.ID.Seq == seq
+		case 1:
+			mc, isMC := m.(*core.Multicast)
+			match = isMC && !mc.ViaTree && mc.ID.Seq == seq
+		default:
+			sr, isSR := m.(*core.SyncRequest)
+			match = isSR && len(sr.Ranges) == 1 && sr.Ranges[0].Source == int32(seq)
+		}
+		if !match {
+			t.Fatalf("frame %d is %#v, want Critical, then Repair, then Background, each in send order", want, m)
+		}
+	}
+	if got := a.Stats()[CtrFramesDropped]; got != 0 {
+		t.Errorf("tcp_frames_dropped = %d, want 0", got)
+	}
+}
+
+// TestTCPFailedBatchSalvagedWhole puts several frames in one batch on a
+// connection that was cut while the writer idled. The write fails, the
+// whole batch is requeued — tcp_frames_requeued counts its frames, not
+// the one write — and every frame arrives once, in order, on the redial.
+func TestTCPFailedBatchSalvagedWhole(t *testing.T) {
+	a := mustTCP(t, 1, fastTCPOptions())
+	defer a.Close()
+	b := mustTCP(t, 2, fastTCPOptions())
+	defer b.Close()
+
+	var mu sync.Mutex
+	var seqs []uint32
+	var got atomic.Int64
+	b.SetHandlers(func(_ core.NodeID, m core.Message) {
+		mu.Lock()
+		seqs = append(seqs, m.(*core.Multicast).ID.Seq)
+		mu.Unlock()
+		got.Add(1)
+	}, nil)
+	a.Send(b.Addr(), 2, tcpTestMsg(0, true))
+	waitCount(t, &got, 1, "initial frame")
+
+	if n := a.DropConnections(); n == 0 {
+		t.Fatal("no connections to cut")
+	}
+	// Queue the frames in one step, as a burst of Sends would between two
+	// wakes of the writer, so they all land in the batch whose write fails.
+	a.mu.Lock()
+	pc := a.conns[b.Addr()]
+	a.mu.Unlock()
+	const k = 5
+	pc.qmu.Lock()
+	for i := uint32(1); i <= k; i++ {
+		frame, err := wire.Append(nil, 1, tcpTestMsg(i, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc.rings[core.ClassCritical].push(frame)
+	}
+	pc.qmu.Unlock()
+	pc.wake <- struct{}{}
+	waitCount(t, &got, k+1, "salvaged batch")
+	time.Sleep(20 * time.Millisecond) // let any duplicate land
+
+	s := a.Stats()
+	if s[CtrWriteErrors] != 1 || s[CtrFramesRequeue] != k {
+		t.Errorf("tcp_write_errors = %d, tcp_frames_requeued = %d, want 1 and %d", s[CtrWriteErrors], s[CtrFramesRequeue], k)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, seq := range seqs {
+		if seq != uint32(i) || len(seqs) != k+1 {
+			t.Fatalf("received seqs %v, want 0..%d once each in order", seqs, k)
+		}
+	}
+}
+
+// TestTCPCutMidStreamDeliversEveryFrame cuts the sender's connections in
+// the middle of a stream. Every frame arrives at least once, and the
+// frames that arrived twice (written before the break, then resent with
+// their batch) are no more than tcp_frames_requeued.
+func TestTCPCutMidStreamDeliversEveryFrame(t *testing.T) {
+	opts := fastTCPOptions()
+	opts.QueueCritical = 4096 // the stream outruns a redial; keep the peer
+	a := mustTCP(t, 1, opts)
+	defer a.Close()
+	b := mustTCP(t, 2, fastTCPOptions())
+	defer b.Close()
+
+	const n = 2000
+	var mu sync.Mutex
+	seen := make(map[uint32]int, n)
+	var unique, total atomic.Int64
+	b.SetHandlers(func(_ core.NodeID, m core.Message) {
+		seq := m.(*core.Multicast).ID.Seq
+		mu.Lock()
+		seen[seq]++
+		if seen[seq] == 1 {
+			unique.Add(1)
+		}
+		mu.Unlock()
+		total.Add(1)
+	}, nil)
+	for i := uint32(0); i < n; i++ {
+		a.Send(b.Addr(), 2, tcpTestMsg(i, true))
+		if i == n/2 {
+			// Cut once the stream is flowing, with frames still in flight.
+			waitCount(t, &unique, n/4, "first quarter of the stream")
+			if a.DropConnections() == 0 {
+				t.Fatal("no connections to cut mid-stream")
+			}
+		}
+	}
+	waitCount(t, &unique, n, "every frame after the cut")
+	time.Sleep(20 * time.Millisecond)
+
+	s := a.Stats()
+	t.Logf("%d deliveries of %d frames, %d requeued", total.Load(), n, s[CtrFramesRequeue])
+	if s[CtrFramesRequeue] < 1 || s[CtrRedials] < 1 {
+		t.Errorf("tcp_frames_requeued = %d, tcp_redials = %d, want both >= 1", s[CtrFramesRequeue], s[CtrRedials])
+	}
+	if dups := total.Load() - n; dups > s[CtrFramesRequeue] {
+		t.Errorf("%d duplicate deliveries, more than the %d requeued frames", dups, s[CtrFramesRequeue])
+	}
+	if s[CtrFramesDropped] != 0 {
+		t.Errorf("tcp_frames_dropped = %d, want 0", s[CtrFramesDropped])
+	}
+}
+
+// BenchmarkTCPFrameRoundTrip sends 64 B tree-pushed Multicast frames from
+// one TCPTransport's Send to another's handler over loopback; one op is
+// one frame, so ns/op and allocs/op are per frame (both transports'
+// goroutines count). inflight bounds the frames sent but not yet handled:
+// at 1 every frame is its own write and read, at 64 the writer batches.
+func BenchmarkTCPFrameRoundTrip(b *testing.B) {
+	for _, inflight := range []int{1, 64} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
+			opts := TCPOptions{IdleTimeout: -1, Logf: b.Logf}
+			src, err := NewTCPTransportWithOptions(1, "127.0.0.1:0", opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer src.Close()
+			dst, err := NewTCPTransportWithOptions(2, "127.0.0.1:0", opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer dst.Close()
+			done := make(chan struct{}, inflight)
+			dst.SetHandlers(func(core.NodeID, core.Message) { done <- struct{}{} }, nil)
+			m := &core.Multicast{
+				ID: core.MessageID{Source: 1, Seq: 1}, Age: time.Millisecond,
+				Payload: make([]byte, 64), ViaTree: true,
+			}
+			src.Send(dst.Addr(), 2, m) // dial before timing
+			<-done
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			pending := 0
+			for i := 0; i < b.N; i++ {
+				if pending == inflight {
+					<-done
+					pending--
+				}
+				src.Send(dst.Addr(), 2, m)
+				pending++
+			}
+			for ; pending > 0; pending-- {
+				<-done
+			}
+			b.StopTimer()
+			if s := src.Stats(); s[CtrFramesDropped] != 0 || s[CtrWriteErrors] != 0 {
+				b.Fatalf("frames dropped %d, write errors %d", s[CtrFramesDropped], s[CtrWriteErrors])
+			}
+		})
+	}
+}
+
+// TestTCPLargeFramesBetweenBatches mixes frames over the batch bound
+// (written alone, without a copy) and over the receive buffer (read into
+// a grown buffer) with small batched frames: all arrive intact and in
+// order.
+func TestTCPLargeFramesBetweenBatches(t *testing.T) {
+	a := mustTCP(t, 1, fastTCPOptions())
+	defer a.Close()
+	b := mustTCP(t, 2, fastTCPOptions())
+	defer b.Close()
+
+	var mu sync.Mutex
+	var got []*core.Multicast
+	var count atomic.Int64
+	b.SetHandlers(func(_ core.NodeID, m core.Message) {
+		mu.Lock()
+		got = append(got, m.(*core.Multicast))
+		mu.Unlock()
+		count.Add(1)
+	}, nil)
+	sizes := []int{10, maxWriteBatch + 1, 20, 30, 3 * wire.ReadBufferSize, 5, maxWriteBatch - 100, maxWriteBatch - 100, 1}
+	for i, size := range sizes {
+		m := tcpTestMsg(uint32(i), true)
+		m.Payload = make([]byte, size)
+		for j := range m.Payload {
+			m.Payload[j] = byte(i + j)
+		}
+		a.Send(b.Addr(), 2, m)
+	}
+	waitCount(t, &count, int64(len(sizes)), "mixed-size frames")
+	mu.Lock()
+	defer mu.Unlock()
+	for i, m := range got {
+		if m.ID.Seq != uint32(i) || len(m.Payload) != sizes[i] {
+			t.Fatalf("frame %d: seq %d with %d bytes, want seq %d with %d", i, m.ID.Seq, len(m.Payload), i, sizes[i])
+		}
+		for j, c := range m.Payload {
+			if c != byte(i+j) {
+				t.Fatalf("frame %d: payload byte %d corrupted", i, j)
+			}
+		}
 	}
 }

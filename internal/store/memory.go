@@ -381,9 +381,16 @@ func (m *Memory) insertSeq(id ID) {
 }
 
 // removeSeq deletes id.Seq from its source's sorted index, keeping the
-// drained slice (and its capacity) for the source's next burst.
+// drained slice (and its capacity) for the source's next burst. Eviction
+// and age GC remove a source's oldest sequence, which is the head: that
+// case reslices in O(1) instead of shifting the whole index, and appends
+// later reclaim the space when they outgrow the array.
 func (m *Memory) removeSeq(id ID) {
 	seqs := m.bySource[id.Source]
+	if len(seqs) > 0 && seqs[0] == id.Seq {
+		m.bySource[id.Source] = seqs[1:]
+		return
+	}
 	i := sort.Search(len(seqs), func(k int) bool { return seqs[k] >= id.Seq })
 	if i >= len(seqs) || seqs[i] != id.Seq {
 		return

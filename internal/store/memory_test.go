@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -251,5 +252,108 @@ func TestSlabStaysProportional(t *testing.T) {
 	}
 	if cap(b.slab) > 1001 {
 		t.Fatalf("slab cap %d exceeds count cap 1000 + 1", cap(b.slab))
+	}
+}
+
+// checkIndex asserts every source's sequence index is strictly ascending
+// and holds exactly the source's live records.
+func checkIndex(t *testing.T, m *Memory, step int, op string) {
+	t.Helper()
+	live := map[int32]map[uint32]bool{}
+	for k, i := range m.recs {
+		if !m.slab[i].reclaimed {
+			id := unpk(k)
+			if live[id.Source] == nil {
+				live[id.Source] = map[uint32]bool{}
+			}
+			live[id.Source][id.Seq] = true
+		}
+	}
+	for src, seqs := range m.bySource {
+		for j, seq := range seqs {
+			if j > 0 && seqs[j-1] >= seq {
+				t.Fatalf("step %d (%s): source %d index not strictly ascending: %v", step, op, src, seqs)
+			}
+			if !live[src][seq] {
+				t.Fatalf("step %d (%s): source %d index holds %d, which is not live", step, op, src, seq)
+			}
+		}
+		if len(seqs) != len(live[src]) {
+			t.Fatalf("step %d (%s): source %d index has %d seqs, %d live records", step, op, src, len(seqs), len(live[src]))
+		}
+	}
+	for src, set := range live {
+		if _, ok := m.bySource[src]; !ok && len(set) > 0 {
+			t.Fatalf("step %d (%s): source %d has %d live records and no index", step, op, src, len(set))
+		}
+	}
+}
+
+// TestSeqIndexMatchesLiveSetUnderChurn drives the store through count-cap
+// eviction (head removals), stability GC (removals anywhere), out-of-order
+// inserts and re-inserts after tombstones expire, checking after every
+// operation that each source's index equals its live set.
+func TestSeqIndexMatchesLiveSetUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewMemory(Limits{
+		MaxMessages:  128,
+		Retention:    time.Second,
+		MaxAge:       20 * time.Second,
+		TombstoneFor: 3 * time.Second,
+	})
+	next := map[int32]uint32{}
+	now := time.Duration(0)
+	for step := 0; step < 20000; step++ {
+		now += 10 * time.Millisecond
+		src := int32(rng.Intn(4))
+		var op string
+		switch r := rng.Intn(100); {
+		case r < 70: // in-order arrival, the hot path
+			op = "put"
+			m.Put(id(src, next[src]), []byte{1}, now)
+			next[src]++
+		case r < 80: // a late or re-sent sequence, possibly a re-insert
+			op = "put-old"
+			if next[src] > 0 {
+				m.Put(id(src, uint32(rng.Intn(int(next[src])))), []byte{2}, now)
+			}
+		case r < 90:
+			op = "stable"
+			if next[src] > 0 {
+				m.MarkStable(id(src, uint32(rng.Intn(int(next[src])))), now)
+			}
+		default:
+			op = "gc"
+			m.GC(now)
+		}
+		checkIndex(t, m, step, op)
+	}
+	if c := m.Counters(); c["evictions"] == 0 || c["reclaims_stable"] == 0 || c["tombstones_dropped"] == 0 {
+		t.Fatalf("churn did not exercise every removal path: %v", c)
+	}
+}
+
+// BenchmarkStoreEvictAtCap measures Put on a store held at its count cap,
+// where every insert evicts the oldest record: the steady state of a live
+// node whose stream outlasts the cap. Eight sources publish round-robin,
+// one message per millisecond, and a GC sweep every 4,096 puts drops the
+// expired tombstones, as a node's periodic sweep would.
+func BenchmarkStoreEvictAtCap(b *testing.B) {
+	const capMsgs = 16384
+	m := NewMemory(Limits{MaxMessages: capMsgs, TombstoneFor: time.Second})
+	payload := make([]byte, 64)
+	put := func(k int) {
+		m.Put(id(int32(k%8), uint32(k/8)), payload, time.Duration(k)*time.Millisecond)
+		if k%4096 == 0 {
+			m.GC(time.Duration(k) * time.Millisecond)
+		}
+	}
+	for k := 0; k < 2*capMsgs; k++ {
+		put(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put(2*capMsgs + i)
 	}
 }

@@ -59,9 +59,24 @@ type Event struct {
 	Node, Peer int32
 	// Detail is a short free-form annotation.
 	Detail string
+	// A and B are the event's raw arguments. A hot-path recorder stores
+	// them with a Render function instead of a formatted Detail; the
+	// Buffer fills Detail from them only when events are read, so the
+	// formatting cost is paid per read, not per recorded event.
+	A, B   int64
+	Render func(a, b int64) string
+}
+
+// rendered returns e with Detail filled from its raw arguments.
+func (e Event) rendered() Event {
+	if e.Detail == "" && e.Render != nil {
+		e.Detail = e.Render(e.A, e.B)
+	}
+	return e
 }
 
 func (e Event) String() string {
+	e = e.rendered()
 	if e.Peer >= 0 {
 		return fmt.Sprintf("%12v %-9s node=%d peer=%d %s", e.At, e.Kind, e.Node, e.Peer, e.Detail)
 	}
@@ -135,8 +150,19 @@ func (b *Buffer) Dropped() uint64 {
 	return b.dropped
 }
 
-// Snapshot returns the buffered events in chronological order.
+// Snapshot returns the buffered events in chronological order, each with
+// its Detail rendered.
 func (b *Buffer) Snapshot() []Event {
+	out := b.raw()
+	for i := range out {
+		out[i] = out[i].rendered()
+	}
+	return out
+}
+
+// raw copies the buffered events in chronological order without rendering
+// them; the lock is held only for the copy.
+func (b *Buffer) raw() []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.wrapped {
@@ -179,9 +205,9 @@ func (f Filter) match(e Event) bool {
 // Query returns the matching events in chronological order.
 func (b *Buffer) Query(f Filter) []Event {
 	var out []Event
-	for _, e := range b.Snapshot() {
+	for _, e := range b.raw() {
 		if f.match(e) {
-			out = append(out, e)
+			out = append(out, e.rendered())
 		}
 	}
 	return out
@@ -202,7 +228,7 @@ func (b *Buffer) Dump(w io.Writer, f Filter) error {
 // Summary tallies buffered events per kind.
 func (b *Buffer) Summary() string {
 	counts := map[Kind]int{}
-	for _, e := range b.Snapshot() {
+	for _, e := range b.raw() {
 		counts[e.Kind]++
 	}
 	parts := make([]string, 0, len(counts))

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -142,5 +143,43 @@ func TestZeroCapacityDefaults(t *testing.T) {
 	}
 	if b.Len() != 10 {
 		t.Fatalf("default-capacity buffer mis-sized: %d", b.Len())
+	}
+}
+
+// Events recorded with raw arguments are rendered only when read, and
+// read back exactly as an eagerly formatted event would.
+func TestRenderedOnRead(t *testing.T) {
+	calls := 0
+	render := func(a, b int64) string {
+		calls++
+		return fmt.Sprintf("%d -> %d", a, b)
+	}
+	b := NewBuffer(4)
+	for i := 0; i < 6; i++ {
+		b.Add(Event{At: time.Duration(i), Kind: KindParentChange, Node: 1, Peer: -1, A: int64(i), B: int64(i + 1), Render: render})
+	}
+	b.Addf(6, KindNote, 1, -1, "eager %d", 6)
+	if calls != 0 {
+		t.Fatalf("recording rendered %d details, want none", calls)
+	}
+	if s := b.Summary(); s != "parent=3 note=1" || calls != 0 {
+		t.Fatalf("summary %q rendered %d details, want %q and none", s, calls, "parent=3 note=1")
+	}
+	snap := b.Snapshot()
+	if calls != 3 {
+		t.Fatalf("snapshot of 3 raw events rendered %d details", calls)
+	}
+	want := []string{"3 -> 4", "4 -> 5", "5 -> 6", "eager 6"}
+	for i, e := range snap {
+		if e.Detail != want[i] {
+			t.Errorf("event %d detail %q, want %q", i, e.Detail, want[i])
+		}
+	}
+	eager := Event{At: 5, Kind: KindParentChange, Node: 1, Peer: -1, Detail: "5 -> 6"}
+	if got := b.Query(Filter{Node: -1, Kinds: []Kind{KindParentChange}, Since: 5})[0].String(); got != eager.String() {
+		t.Errorf("query line %q, want %q", got, eager.String())
+	}
+	if got := (Event{At: 5, Kind: KindParentChange, Node: 1, Peer: -1, A: 5, B: 6, Render: render}).String(); got != eager.String() {
+		t.Errorf("unread event line %q, want %q", got, eager.String())
 	}
 }

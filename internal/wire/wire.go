@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -63,31 +62,75 @@ func Append(buf []byte, from core.NodeID, m core.Message) ([]byte, error) {
 	return e.buf, nil
 }
 
-// WriteFrame serializes and writes one framed message.
-func WriteFrame(w io.Writer, from core.NodeID, m core.Message) error {
-	buf, err := Append(nil, from, m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
+// ReadBufferSize is the size of a Reader's buffer: one read from the
+// stream takes in as many queued frames as fit.
+const ReadBufferSize = 16 << 10
+
+// maxKeptBuffer bounds the buffer a Reader keeps once it is drained; a
+// buffer grown for a larger frame (a multi-megabyte sync reply) is
+// dropped, so one burst does not pin its size per connection.
+const maxKeptBuffer = 64 << 10
+
+// Reader splits and decodes the frames of a byte stream. It does no I/O:
+// its owner reads from the stream into Space and reports the count to
+// Fill, then calls Next until it asks for more bytes. Frames are decoded
+// in place from the one buffer, which is reused for the bytes that follow;
+// that is safe because Decode copies every byte it keeps. The zero value
+// is ready to use.
+type Reader struct {
+	buf  []byte
+	r, w int // buf[r:w] is read and not yet decoded
 }
 
-// ReadFrame reads one framed message from r.
-func ReadFrame(r io.Reader) (core.NodeID, core.Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return core.None, nil, err
+// Space returns the free part of the buffer for the next read from the
+// stream; call it once Next reports that more bytes are needed. It is
+// never empty: a buffered partial frame that would not fit grows the
+// buffer to the frame's size.
+func (fr *Reader) Space() []byte {
+	if fr.r == fr.w {
+		fr.r, fr.w = 0, 0
+		if cap(fr.buf) > maxKeptBuffer {
+			fr.buf = nil
+		}
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	if fr.buf == nil {
+		fr.buf = make([]byte, ReadBufferSize)
+	}
+	if fr.r > 0 {
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+	if fr.w >= 4 {
+		// Next has checked this length against MaxFrame.
+		if need := 4 + int(binary.LittleEndian.Uint32(fr.buf)); need > len(fr.buf) {
+			grown := make([]byte, need)
+			copy(grown, fr.buf[:fr.w])
+			fr.buf = grown
+		}
+	}
+	return fr.buf[fr.w:]
+}
+
+// Fill records that n bytes were read into the slice Space returned.
+func (fr *Reader) Fill(n int) { fr.w += n }
+
+// Next decodes the next whole buffered frame. It returns ok false, with no
+// error, when the buffer holds no whole frame and more bytes must be read.
+func (fr *Reader) Next() (from core.NodeID, m core.Message, ok bool, err error) {
+	avail := fr.buf[fr.r:fr.w]
+	if len(avail) < 4 {
+		return core.None, nil, false, nil
+	}
+	n := binary.LittleEndian.Uint32(avail)
 	if n > MaxFrame {
-		return core.None, nil, ErrFrameTooLarge
+		return core.None, nil, false, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return core.None, nil, err
+	if len(avail)-4 < int(n) {
+		return core.None, nil, false, nil
 	}
-	return Decode(payload)
+	fr.r += 4 + int(n)
+	from, m, err = Decode(avail[4 : 4+n])
+	return from, m, err == nil, err
 }
 
 // Decode parses a frame payload (without the length prefix).

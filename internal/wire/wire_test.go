@@ -152,25 +152,139 @@ func TestRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// readStream feeds stream to a Reader in chunks of at most chunk bytes,
+// as successive socket reads would deliver it, and returns every message
+// decoded along the way.
+func readStream(t testing.TB, fr *Reader, stream []byte, chunk int) []core.Message {
+	t.Helper()
+	var out []core.Message
+	for len(stream) > 0 {
+		n := copy(fr.Space(), stream[:min(chunk, len(stream))])
+		fr.Fill(n)
+		stream = stream[n:]
+		for {
+			from, m, ok, err := fr.Next()
+			if err != nil {
+				t.Fatalf("frame %d: %v", len(out), err)
+			}
+			if !ok {
+				break
+			}
+			if from != 3 {
+				t.Fatalf("frame %d: sender %d, want 3", len(out), from)
+			}
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 func TestStreamReadWrite(t *testing.T) {
-	var buf bytes.Buffer
 	msgs := sampleMessages()
+	// A payload over the kept-buffer bound exercises the grown buffer and
+	// its release once drained.
+	msgs = append(msgs, &core.Multicast{ID: core.MessageID{Source: 1, Seq: 1}, Payload: bytes.Repeat([]byte{7}, maxKeptBuffer+1)})
+	msgs = append(msgs, sampleMessages()...)
+	var stream []byte
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, 3, m); err != nil {
-			t.Fatalf("write: %v", err)
+		var err error
+		if stream, err = Append(stream, 3, m); err != nil {
+			t.Fatalf("encode: %v", err)
 		}
 	}
-	for i, want := range msgs {
-		from, got, err := ReadFrame(&buf)
+	// Chunks from one byte (every frame split across reads) to the whole
+	// stream at once.
+	for _, chunk := range []int{1, 7, 100, ReadBufferSize, len(stream)} {
+		var fr Reader
+		got := readStream(t, &fr, stream, chunk)
+		if len(got) != len(msgs) {
+			t.Fatalf("chunk %d: %d frames decoded, want %d", chunk, len(got), len(msgs))
+		}
+		for i := range msgs {
+			if !reflect.DeepEqual(msgs[i], got[i]) {
+				t.Fatalf("chunk %d: frame %d mismatch: %#v vs %#v", chunk, i, msgs[i], got[i])
+			}
+		}
+		if _, _, ok, err := fr.Next(); ok || err != nil {
+			t.Fatalf("chunk %d: drained reader returned ok=%v err=%v", chunk, ok, err)
+		}
+		if cap(fr.Space()) > maxKeptBuffer {
+			t.Fatalf("chunk %d: drained reader keeps a %d-byte buffer", chunk, cap(fr.buf))
+		}
+	}
+}
+
+func TestReaderRejectsHugeLength(t *testing.T) {
+	var fr Reader
+	fr.Fill(copy(fr.Space(), []byte{0xFF, 0xFF, 0xFF, 0xFF}))
+	if _, _, _, err := fr.Next(); err != ErrFrameTooLarge {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// Decode never aliases its input: every message kind must survive its
+// source bytes being overwritten, since the Reader decodes each frame out
+// of a buffer it reuses for the next one.
+func TestDecodeDoesNotAliasInput(t *testing.T) {
+	for _, m := range sampleMessages() {
+		frame, err := Append(nil, 5, m)
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("%T: encode: %v", m, err)
 		}
-		if from != 3 || !reflect.DeepEqual(want, got) {
-			t.Fatalf("frame %d mismatch: %#v vs %#v", i, want, got)
+		payload := append([]byte(nil), frame[4:]...)
+		_, got, err := Decode(payload)
+		if err != nil {
+			t.Fatalf("%T: decode: %v", m, err)
+		}
+		for i := range payload {
+			payload[i] = 0xA5
+		}
+		again, err := Append(nil, 5, got)
+		if err != nil {
+			t.Fatalf("%T: re-encode: %v", m, err)
+		}
+		if !bytes.Equal(again, frame) {
+			t.Fatalf("%T: decoded message changed when its input was overwritten:\n got %x\nwant %x", m, again, frame)
 		}
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d leftover bytes", buf.Len())
+}
+
+// readerMulticast64 is the live path's common frame: a 64 B tree push.
+func readerMulticast64() *core.Multicast {
+	return &core.Multicast{
+		ID: core.MessageID{Source: 2, Seq: 9}, Age: time.Millisecond,
+		Payload: bytes.Repeat([]byte{0x5A}, 64), ViaTree: true,
+	}
+}
+
+// The Reader adds no allocation of its own in steady state: reading a
+// 64 B Multicast frame costs exactly what Decode costs, which is two
+// allocations (the *Multicast and its payload copy).
+func TestReaderAllocsMatchDecode(t *testing.T) {
+	frame, err := Append(nil, 1, readerMulticast64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeAllocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := Decode(frame[4:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var fr Reader
+	readAllocs := testing.AllocsPerRun(1000, func() { readOne(t, &fr, frame) })
+	if decodeAllocs != 2 {
+		t.Errorf("Decode of a 64 B Multicast allocates %v times, want 2", decodeAllocs)
+	}
+	if readAllocs != decodeAllocs {
+		t.Errorf("reading a frame allocates %v times, Decode alone %v", readAllocs, decodeAllocs)
+	}
+}
+
+// readOne passes one frame through fr as one read would deliver it.
+func readOne(t testing.TB, fr *Reader, frame []byte) {
+	fr.Fill(copy(fr.Space(), frame))
+	if _, _, ok, err := fr.Next(); !ok || err != nil {
+		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 }
 
@@ -207,14 +321,6 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	payload := []byte{1, 0, 0, 0, 0xFF}
 	if _, _, err := Decode(payload); err == nil {
 		t.Fatalf("unknown kind accepted")
-	}
-}
-
-func TestReadFrameRejectsHugeLength(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -366,5 +472,72 @@ func BenchmarkDecodeGossip(b *testing.B) {
 		if _, _, err := Decode(buf[4:]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchKinds are the per-kind codec benchmark messages: the live path's
+// 64 B tree push and the small control messages every node exchanges.
+func benchKinds() []struct {
+	name string
+	m    core.Message
+} {
+	entry := core.Entry{ID: 4, Inc: 1, Addr: "127.0.0.1:4", Landmarks: []uint16{1, 2, 3}}
+	return []struct {
+		name string
+		m    core.Message
+	}{
+		{"Multicast64", readerMulticast64()},
+		{"TreeAdvert", &core.TreeAdvert{Root: 0, Epoch: 3, Wave: 17, Dist: 45 * time.Millisecond}},
+		{"Ping", &core.Ping{From: entry, Nonce: 42}},
+		{"Pong", &core.Pong{From: entry, Nonce: 42, Degrees: core.Degrees{Rand: 1, Near: 5, MaxNearbyRTT: 80 * time.Millisecond}}},
+		{"PullRequest", &core.PullRequest{IDs: []core.MessageID{{Source: 4, Seq: 9}, {Source: 4, Seq: 10}, {Source: 7, Seq: 1}}}},
+	}
+}
+
+func BenchmarkEncodeKind(b *testing.B) {
+	for _, k := range benchKinds() {
+		b.Run(k.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				buf, err = Append(buf[:0], 1, k.m)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeKind(b *testing.B) {
+	for _, k := range benchKinds() {
+		b.Run(k.name, func(b *testing.B) {
+			buf, err := Append(nil, 1, k.m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Decode(buf[4:]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReaderMulticast64 passes 64 B Multicast frames through the
+// Reader one read at a time: the live receive path minus the socket.
+func BenchmarkReaderMulticast64(b *testing.B) {
+	frame, err := Append(nil, 1, readerMulticast64())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fr Reader
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		readOne(b, &fr, frame)
 	}
 }
